@@ -3,13 +3,16 @@
 Blocks form a tree rooted at a genesis header. Every insertion is stamped
 with a monotone arrival sequence number so fork-choice ties resolve to the
 branch that was seen first, and cumulative difficulty is cached per block
-so head selection never re-walks the tree.
+so head selection never re-walks the tree. The heaviest tip is kept up to
+date on every insert, and a head move walks only the two diverging
+branches, so the work per block does not grow with the chain.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 HASH_SIZE = 32
 
@@ -55,6 +58,22 @@ class BlockHeader:
     def is_genesis(self) -> bool:
         return self.number == 0 and self.parent == NIL_PARENT
 
+    @cached_property
+    def digest(self) -> bytes:
+        """SHA-256 of the canonical encoding, computed once per header object."""
+        encoding = "|".join(
+            (
+                str(self.number),
+                self.parent.hex(),
+                str(self.sealer_index),
+                self.sealer_addr,
+                str(self.difficulty),
+                str(self.sim_time_ms),
+                ",".join(str(tx) for tx in self.tx_ids),
+            )
+        )
+        return hashlib.sha256(encoding.encode("ascii")).digest()
+
 
 def make_genesis(sim_time_ms: int = 0) -> BlockHeader:
     return BlockHeader(
@@ -73,20 +92,10 @@ def hash_header(header: BlockHeader) -> bytes:
 
     Deterministic, and any single-field change yields a different digest.
     No signatures are involved; identities in this simulator are honest
-    labels, not keys.
+    labels, not keys. The digest is cached on the header, so a header object
+    broadcast to every peer is encoded once.
     """
-    encoding = "|".join(
-        (
-            str(header.number),
-            header.parent.hex(),
-            str(header.sealer_index),
-            header.sealer_addr,
-            str(header.difficulty),
-            str(header.sim_time_ms),
-            ",".join(str(tx) for tx in header.tx_ids),
-        )
-    )
-    return hashlib.sha256(encoding.encode("ascii")).digest()
+    return header.digest
 
 
 @dataclass
@@ -116,6 +125,7 @@ class ChainStore:
         self._children: dict[bytes, list[bytes]] = {self.genesis: []}
         # Leaves of the tree; insertion-ordered for deterministic scans.
         self._tips: dict[bytes, None] = {self.genesis: None}
+        self._best = self.genesis
         self._next_seq = 1
 
     def __contains__(self, block_hash: bytes) -> bool:
@@ -152,16 +162,26 @@ class ChainStore:
                 f"block number {header.number} does not follow parent "
                 f"{parent.header.number}"
             )
-        self._blocks[block_hash] = _Stored(
+        stored = _Stored(
             header,
             arrival_seq=self._next_seq,
             total_difficulty=parent.total_difficulty + header.difficulty,
         )
+        self._blocks[block_hash] = stored
         self._next_seq += 1
         self._children[header.parent].append(block_hash)
         self._children[block_hash] = []
         self._tips.pop(header.parent, None)
         self._tips[block_hash] = None
+        # The new block arrived last, so it loses every tie and takes the
+        # lead only when strictly heavier than the best tip. A child of the
+        # best tip that adds no difficulty retires that tip without beating
+        # it: an earlier tip of equal weight may now win, so rescan.
+        best = self._blocks[self._best].total_difficulty
+        if stored.total_difficulty > best:
+            self._best = block_hash
+        elif header.parent == self._best:
+            self._best = self._scan_tips()
         return block_hash
 
     def total_difficulty(self, tip: bytes) -> int:
@@ -173,15 +193,14 @@ class ChainStore:
 
     def select_head(self) -> bytes:
         """Tip with maximal cumulative difficulty; first received wins ties."""
-        best = None
-        best_key = None
-        for tip in self._tips:
+        return self._best
+
+    def _scan_tips(self) -> bytes:
+        def key(tip: bytes) -> tuple[int, int]:
             stored = self._blocks[tip]
-            key = (stored.total_difficulty, -stored.arrival_seq)
-            if best_key is None or key > best_key:
-                best, best_key = tip, key
-        assert best is not None  # store always holds genesis
-        return best
+            return stored.total_difficulty, -stored.arrival_seq
+
+        return max(self._tips, key=key)
 
     def canonical_chain(self, head: bytes) -> list[BlockHeader]:
         """Headers from genesis to ``head``, ascending by number."""
@@ -197,3 +216,39 @@ class ChainStore:
             cursor = header.parent
         chain.reverse()
         return chain
+
+    def chain_tail(self, head: bytes, depth: int) -> list[BlockHeader]:
+        """The last ``depth`` headers of ``canonical_chain(head)``, ascending."""
+        header = self.header(head)
+        tail = [header]
+        while len(tail) < depth and not header.is_genesis():
+            header = self._blocks[header.parent].header
+            tail.append(header)
+        tail.reverse()
+        return tail
+
+    def reorg(
+        self, old_head: bytes, new_head: bytes
+    ) -> tuple[list[BlockHeader], list[BlockHeader]]:
+        """Headers that leave and join the canonical chain when the head moves.
+
+        Returns ``(abandoned, adopted)``: the parts of
+        ``canonical_chain(old_head)`` and ``canonical_chain(new_head)``
+        after their common ancestor, each ascending by number. The walk
+        covers only those two branches.
+        """
+        old, new = self.header(old_head), self.header(new_head)
+        abandoned: list[BlockHeader] = []
+        adopted: list[BlockHeader] = []
+        while old_head != new_head:
+            if old.number >= new.number:
+                abandoned.append(old)
+                old_head = old.parent
+                old = self._blocks[old_head].header
+            else:
+                adopted.append(new)
+                new_head = new.parent
+                new = self._blocks[new_head].header
+        abandoned.reverse()
+        adopted.reverse()
+        return abandoned, adopted

@@ -99,14 +99,17 @@ def record_seal(snapshot: SealerSnapshot, number: int, sealer_index: int) -> Sea
 def snapshot_for_chain(
     sealers: tuple[str, ...], headers: list[BlockHeader]
 ) -> SealerSnapshot:
-    """Snapshot derived from a canonical header sequence (genesis first)."""
-    snapshot = SealerSnapshot(sealers)
+    """Snapshot derived from a canonical header sequence (genesis first).
+
+    Only the last W headers matter, so a caller may pass just those.
+    """
     window = recents_window(len(sealers))
-    for header in headers[-window:]:
-        if header.is_genesis():
-            continue
-        snapshot = record_seal(snapshot, header.number, header.sealer_index)
-    return snapshot
+    recents = {
+        header.number: header.sealer_index
+        for header in headers[-window:]
+        if not header.is_genesis()
+    }
+    return SealerSnapshot(sealers, recents)
 
 
 @dataclass(frozen=True)

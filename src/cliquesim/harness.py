@@ -173,6 +173,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     global_checks: dict[str, bool] = {}
     sealer_sections: dict[int, dict[str, object]] = {}
     current: dict[str, object] | None = None
+    seen_keys: set[str] = set()  # keys already given in the current section
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -181,13 +182,19 @@ def parse_scenario(text: str) -> ScenarioConfig:
         section = _SECTION_RE.match(line)
         if section:
             index = int(section.group(1))
-            current = sealer_sections.setdefault(index, {})
+            if index in sealer_sections:
+                raise ParseError(f"duplicate section [sealer {index}]", line_no)
+            current = sealer_sections[index] = {}
+            seen_keys = set()
             continue
         if line.startswith("["):
             raise ParseError(f"bad section header {line!r}", line_no)
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", line_no)
         key, _, value = (part.strip() for part in line.partition("="))
+        if key in seen_keys:
+            raise ParseError(f"duplicate key {key!r}", line_no)
+        seen_keys.add(key)
         if current is None:
             if key in _GLOBAL_INT_KEYS:
                 globals_[key] = _parse_int(value, line_no)

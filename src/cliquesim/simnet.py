@@ -182,7 +182,7 @@ class Node:
         if header.parent not in self.store:
             self.orphans.setdefault(header.parent, []).append(header)
             return
-        reason = verify_header(header, self._snapshot_at_parent(header), self.flags)
+        reason = verify_header(header, self._snapshot_at(header.parent), self.flags)
         if reason is not None:
             self.rejected += 1
             self.sim.tallies[header.sealer_index].record_rejection(reason.value)
@@ -204,34 +204,20 @@ class Node:
         for child in self.orphans.pop(block_hash, []):
             self._admit(child, hash_header(child))
 
-    def _snapshot_at_parent(self, header: BlockHeader) -> SealerSnapshot:
-        """Snapshot of the recently-signed window along the parent branch."""
+    def _snapshot_at(self, block_hash: bytes) -> SealerSnapshot:
+        """Snapshot of the recently-signed window on the branch ending at ``block_hash``."""
         window = recents_window(len(self.sim.sealers))
-        recents: dict[int, int] = {}
-        cursor = header.parent
-        while len(recents) < window:
-            ancestor = self.store.header(cursor)
-            if ancestor.is_genesis():
-                break
-            recents[ancestor.number] = ancestor.sealer_index
-            cursor = ancestor.parent
-        return SealerSnapshot(self.sim.sealers, recents)
+        return snapshot_for_chain(self.sim.sealers, self.store.chain_tail(block_hash, window))
 
     def _move_head(self, new_head: bytes) -> None:
-        old_chain = self.store.canonical_chain(self.head)
-        new_chain = self.store.canonical_chain(new_head)
+        abandoned, adopted = self.store.reorg(self.head, new_head)
         self.head = new_head
-        fork = 0
-        for old, new in zip(old_chain, new_chain):
-            if old != new:
-                break
-            fork += 1
-        for header in old_chain[fork:]:
+        for header in abandoned:
             self.canonical_ids.difference_update(header.tx_ids)
-        for header in new_chain[fork:]:
+        for header in adopted:
             self.canonical_ids.update(header.tx_ids)
-        self.mempool.on_canonical_update(old_chain, new_chain, self.tx_created)
-        self.snapshot = snapshot_for_chain(self.sim.sealers, new_chain)
+        self.mempool.on_canonical_update(abandoned, adopted, self.tx_created)
+        self.snapshot = self._snapshot_at(new_head)
         self.replan()
 
     # -- proposing ---------------------------------------------------------

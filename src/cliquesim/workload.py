@@ -63,26 +63,22 @@ class Mempool:
 
     def on_canonical_update(
         self,
-        old_chain: list[BlockHeader],
-        new_chain: list[BlockHeader],
+        abandoned: list[BlockHeader],
+        adopted: list[BlockHeader],
         created: dict[int, int],
     ) -> None:
         """Re-pend txs only in abandoned blocks; drop txs the new chain holds.
 
-        Both chains must share genesis; only the diverging suffixes matter.
+        ``abandoned`` and ``adopted`` are the two branches a head move
+        leaves and joins, past their common ancestor (``ChainStore.reorg``).
         """
-        fork = 0
-        for old, new in zip(old_chain, new_chain):
-            if old != new:
-                break
-            fork += 1
-        abandoned: set[int] = set()
-        for header in old_chain[fork:]:
-            abandoned.update(header.tx_ids)
-        adopted: set[int] = set()
-        for header in new_chain[fork:]:
-            adopted.update(header.tx_ids)
-        for tx_id in abandoned - adopted:
+        abandoned_ids: set[int] = set()
+        for header in abandoned:
+            abandoned_ids.update(header.tx_ids)
+        adopted_ids: set[int] = set()
+        for header in adopted:
+            adopted_ids.update(header.tx_ids)
+        for tx_id in abandoned_ids - adopted_ids:
             self.pending.setdefault(tx_id, created[tx_id])
-        for tx_id in adopted:
+        for tx_id in adopted_ids:
             self.pending.pop(tx_id, None)

@@ -48,3 +48,28 @@ def short_preset(name: str, duration_ms: int, seed: int | None = None):
     if seed is not None:
         replacements["seed"] = seed
     return dataclasses.replace(config, **replacements)
+
+
+def path_difficulty(store: ChainStore, tip: bytes) -> int:
+    """Independent oracle: walk parent pointers and sum difficulties."""
+    total = 0
+    header = store.header(tip)
+    while not header.is_genesis():
+        total += header.difficulty
+        header = store.header(header.parent)
+    return total
+
+
+def brute_force_head(store: ChainStore) -> bytes:
+    """Independent oracle: enumerate every root-to-leaf path, pick the
+    heaviest, break ties by smallest arrival sequence."""
+    leaves = [h for h in iter_hashes(store) if not store.children(h)]
+    return max(leaves, key=lambda h: (path_difficulty(store, h), -store.arrival_seq(h)))
+
+
+def iter_hashes(store: ChainStore):
+    stack = [store.genesis]
+    while stack:
+        h = stack.pop()
+        yield h
+        stack.extend(store.children(h))

@@ -12,32 +12,7 @@ from cliquesim import (
     make_genesis,
 )
 
-from conftest import child_header, grow
-
-
-def path_difficulty(store: ChainStore, tip: bytes) -> int:
-    """Independent oracle: walk parent pointers and sum difficulties."""
-    total = 0
-    header = store.header(tip)
-    while not header.is_genesis():
-        total += header.difficulty
-        header = store.header(header.parent)
-    return total
-
-
-def brute_force_head(store: ChainStore) -> bytes:
-    """Independent oracle: enumerate every root-to-leaf path, pick the
-    heaviest, break ties by smallest arrival sequence."""
-    leaves = [h for h in iter_hashes(store) if not store.children(h)]
-    return max(leaves, key=lambda h: (path_difficulty(store, h), -store.arrival_seq(h)))
-
-
-def iter_hashes(store: ChainStore):
-    stack = [store.genesis]
-    while stack:
-        h = stack.pop()
-        yield h
-        stack.extend(store.children(h))
+from conftest import brute_force_head, child_header, grow, path_difficulty
 
 
 # -- hashing -----------------------------------------------------------------
@@ -199,6 +174,27 @@ def test_select_head_matches_brute_force_on_random_trees():
         assert store.select_head() == brute_force_head(store)
 
 
+def test_select_head_matches_brute_force_after_every_extend():
+    # Extending the current head often makes a zero-difficulty child of the
+    # best tip, which leaves an earlier tip of equal weight in the lead.
+    rng = random.Random(303)
+    for _ in range(100):
+        store = ChainStore(make_genesis())
+        hashes = [store.genesis]
+        for i in range(rng.randrange(1, 40)):
+            parent = store.select_head() if rng.random() < 0.3 else rng.choice(hashes)
+            hashes.append(
+                grow(
+                    store,
+                    parent,
+                    sealer_index=rng.randrange(7),
+                    difficulty=rng.choice((0, 1, 1, 2, 2)),
+                    time_ms=1000 + i,
+                )
+            )
+            assert store.select_head() == brute_force_head(store)
+
+
 # -- canonical chain --------------------------------------------------------------
 
 def test_canonical_chain_of_genesis(store):
@@ -241,3 +237,45 @@ def test_canonical_numbers_have_no_gaps_random():
                            difficulty=rng.choice((1, 2)), time_ms=1000 + i))
     chain = store.canonical_chain(store.select_head())
     assert [h.number for h in chain] == list(range(len(chain)))
+
+
+# -- reorg diff and chain tail ------------------------------------------------------
+
+def canonical_diff(store: ChainStore, old: bytes, new: bytes):
+    """Independent oracle: strip the common prefix of two full chains."""
+    old_chain, new_chain = store.canonical_chain(old), store.canonical_chain(new)
+    fork = 0
+    while fork < min(len(old_chain), len(new_chain)) and old_chain[fork] == new_chain[fork]:
+        fork += 1
+    return old_chain[fork:], new_chain[fork:]
+
+
+def test_reorg_cases(store):
+    a1 = grow(store, store.genesis)
+    a2 = grow(store, a1)
+    a3 = grow(store, a2)
+    b2 = grow(store, a1, sealer_index=4)
+    h = store.header
+    assert store.reorg(a3, a3) == ([], [])
+    assert store.reorg(a1, a3) == ([], [h(a2), h(a3)])
+    assert store.reorg(a3, a1) == ([h(a2), h(a3)], [])
+    assert store.reorg(a3, b2) == ([h(a2), h(a3)], [h(b2)])
+    assert store.reorg(b2, a3) == ([h(b2)], [h(a2), h(a3)])
+    assert store.reorg(store.genesis, a3) == ([], [h(a1), h(a2), h(a3)])
+    with pytest.raises(UnknownBlockError):
+        store.reorg(a3, b"\x44" * 32)
+
+
+def test_reorg_and_chain_tail_match_full_chains_on_random_trees():
+    rng = random.Random(404)
+    for _ in range(30):
+        store = ChainStore(make_genesis())
+        hashes = [store.genesis]
+        for i in range(60):
+            hashes.append(grow(store, rng.choice(hashes), sealer_index=rng.randrange(5),
+                               difficulty=rng.choice((0, 1, 2)), time_ms=1000 + i))
+        for _ in range(30):
+            old, new = rng.choice(hashes), rng.choice(hashes)
+            assert store.reorg(old, new) == canonical_diff(store, old, new)
+            depth = rng.randrange(1, 6)
+            assert store.chain_tail(new, depth) == store.canonical_chain(new)[-depth:]

@@ -90,6 +90,21 @@ def test_per_sealer_flag_override():
     assert config.flag_list()[0] == FIXED
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("n_sealers = 5\nseed = 1\nseed = 2\n", 3),
+        ("n_sealers = 5\n[sealer 2]\npolicy = malicious\nzero_delay = true\nzero_delay = false\n", 5),
+        ("n_sealers = 5\n[sealer 2]\npolicy = malicious\n[sealer 2]\nzero_delay = false\n", 4),
+    ],
+    ids=["global-key", "sealer-key", "section"],
+)
+def test_duplicates_name_the_line(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_scenario(text)
+    assert err.value.line == line
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ParseError):
         load_scenario(tmp_path / "nope.scenario")
@@ -280,6 +295,13 @@ def test_cli_invalid_scenario_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.scenario"
     bad.write_text("n_sealers = 5\nduration_ms = -1\n")
     assert cli.main(["run", str(bad)]) == 2
+
+
+def test_cli_duplicate_key_exits_2(tmp_path, capsys):
+    bad = tmp_path / "dup.scenario"
+    bad.write_text("n_sealers = 5\nverify = fixed\nverify = vulnerable\n")
+    assert cli.main(["run", str(bad), "--out", str(tmp_path)]) == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_cli_nonconvergence_exits_3(tmp_path, capsys, monkeypatch):

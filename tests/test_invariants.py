@@ -1,0 +1,90 @@
+"""Whole-run properties: node state at the end of a run, and work per event.
+
+The node keeps its canonical tx set, mempool, sealer snapshot and head up
+to date incrementally as blocks arrive. The invariant test rebuilds each of
+them from the node's chain store after the run and compares. The work test
+counts the headers the chain store's walks hand back, which must grow with
+the number of dispatched events, not with the length of the chain.
+"""
+
+import dataclasses
+
+import pytest
+
+from cliquesim import (
+    ChainStore,
+    build_simulation,
+    parse_scenario,
+    preset_config,
+    snapshot_for_chain,
+)
+
+from conftest import brute_force_head, short_preset
+
+# Every ChainStore method that walks parent pointers and returns headers.
+WALKS = ("canonical_chain", "reorg", "chain_tail")
+
+ZERO_DIFFICULTY_SCENARIO = """\
+n_sealers = 5
+duration_ms = 600000
+seed = 3
+delay_min_ms = 0
+delay_max_ms = 50
+verify = custom
+check_recently_signed = false
+check_difficulty_domain = false
+check_inturn_identity = false
+
+[sealer 2]
+policy = malicious
+forced_difficulty = 0
+"""
+
+
+def _configs():
+    for name in ("honest", "attack", "fixed"):
+        for seed in range(3):
+            config = dataclasses.replace(preset_config(name), seed=seed)
+            yield pytest.param(config, id=f"{name}-seed{seed}")
+    yield pytest.param(parse_scenario(ZERO_DIFFICULTY_SCENARIO), id="custom-difficulty-0")
+
+
+@pytest.mark.parametrize("config", list(_configs()))
+def test_end_of_run_node_invariants(config):
+    sim = build_simulation(config)
+    sim.run_until(config.duration_ms)
+    for node in sim.nodes:
+        chain = node.store.canonical_chain(node.head)
+        assert node.head == brute_force_head(node.store)
+        assert node.canonical_ids == {tx for header in chain for tx in header.tx_ids}
+        assert node.canonical_ids.isdisjoint(node.mempool.pending)
+        assert node.snapshot.recents == snapshot_for_chain(sim.sealers, chain).recents
+
+
+def _walked_per_event(monkeypatch, minutes):
+    walked = 0
+
+    def counting(method):
+        def wrapper(*args, **kwargs):
+            nonlocal walked
+            result = method(*args, **kwargs)
+            parts = result if isinstance(result, tuple) else (result,)
+            walked += sum(len(part) for part in parts)
+            return result
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in WALKS:
+            patch.setattr(ChainStore, name, counting(getattr(ChainStore, name)))
+        config = short_preset("honest", minutes * 60_000)
+        sim = build_simulation(config)
+        sim.run_until(config.duration_ms)
+    events = sim._next_seq - len(sim._queue)
+    return walked / events
+
+
+def test_chain_walks_per_event_do_not_grow_with_run_length(monkeypatch):
+    short = _walked_per_event(monkeypatch, 10)
+    long = _walked_per_event(monkeypatch, 40)
+    assert long <= 1.25 * short, f"headers walked per event: {short:.2f} at 10 min, {long:.2f} at 40 min"
