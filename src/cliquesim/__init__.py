@@ -30,7 +30,6 @@ from .engine import (
     difficulty_for,
     leader_index,
     recents_window,
-    record_seal,
     signed_recently,
     snapshot_for_chain,
     verify_header,
@@ -55,7 +54,7 @@ from .harness import (
     sealer_addresses,
 )
 from .simnet import DelayModel, NonConvergenceError, Simulation
-from .strategies import PolicyKind, ProposalPlan, SealerPolicy, on_new_head, plan_proposal
+from .strategies import ProposalPlan, SealerPolicy, on_new_head, plan_proposal
 from .workload import Mempool, Tx, tx_batch_schedule
 
 __version__ = "0.1.0"
@@ -74,7 +73,6 @@ __all__ = [
     "NonConvergenceError",
     "PRESETS",
     "ParseError",
-    "PolicyKind",
     "ProposalContext",
     "ProposalPlan",
     "RejectReason",
@@ -105,7 +103,6 @@ __all__ = [
     "preset_config",
     "preset_text",
     "recents_window",
-    "record_seal",
     "run_scenario",
     "run_sweep",
     "sealer_addresses",

@@ -20,6 +20,7 @@ from .harness import (
     preset_text,
     run_scenario,
     run_sweep,
+    tracked_sealer,
 )
 from .simnet import NonConvergenceError
 
@@ -119,10 +120,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = _parse_seed_range(args.seeds)
     reports, summary = run_sweep(config, seeds)
     for seed, report in zip(seeds, reports):
-        malicious = config.malicious_indices()
-        idx = malicious[0] if malicious else max(
-            range(config.n_sealers), key=report.sealer_share
-        )
+        idx = tracked_sealer(config, report)
         print(
             f"seed {seed}: height {report.totals['canonical_height']}, "
             f"sealer {idx} share {report.sealer_share(idx):.3f}"

@@ -83,19 +83,6 @@ def signed_recently(snapshot: SealerSnapshot, sealer_index: int, next_number: in
     return False
 
 
-def record_seal(snapshot: SealerSnapshot, number: int, sealer_index: int) -> SealerSnapshot:
-    """Return a snapshot with ``number -> sealer_index`` recorded.
-
-    Entries older than ``number - W + 1`` are evicted, keeping exactly the
-    trailing window that future eligibility checks consult.
-    """
-    window = recents_window(snapshot.size)
-    floor = number - window + 1
-    recents = {n: s for n, s in snapshot.recents.items() if n >= floor}
-    recents[number] = sealer_index
-    return SealerSnapshot(snapshot.sealers, recents)
-
-
 def snapshot_for_chain(
     sealers: tuple[str, ...], headers: list[BlockHeader]
 ) -> SealerSnapshot:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .engine import FIXED, PRESETS, VerifyFlags
 from .simnet import DelayModel, SimResult, Simulation
-from .strategies import PolicyKind, SealerPolicy
+from .strategies import SealerPolicy
 from .workload import tx_batch_schedule
 
 
@@ -42,7 +42,7 @@ class ValidationError(ScenarioError):
 class SealerSpec:
     """Per-sealer policy and optional verification override."""
 
-    policy: SealerPolicy = field(default_factory=SealerPolicy.honest)
+    policy: SealerPolicy = SealerPolicy()
     flags: VerifyFlags | None = None  # None -> scenario-wide flags
 
 
@@ -92,42 +92,20 @@ class ScenarioConfig:
         return out
 
     def malicious_indices(self) -> list[int]:
-        return [
-            i
-            for i, policy in enumerate(self.policies())
-            if policy.kind is PolicyKind.MALICIOUS
-        ]
+        return [i for i, policy in enumerate(self.policies()) if policy.deviates]
 
     def to_dict(self) -> dict:
-        return {
-            "n_sealers": self.n_sealers,
-            "block_interval_ms": self.block_interval_ms,
-            "duration_ms": self.duration_ms,
-            "tx_rate_per_s": self.tx_rate_per_s,
-            "seed": self.seed,
-            "delay_min_ms": self.delay_min_ms,
-            "delay_max_ms": self.delay_max_ms,
-            "tx_cap": self.tx_cap,
-            "flags": _flags_dict(self.flags),
-            "sealers": {
-                str(i): {
-                    "policy": spec.policy.kind.value,
-                    "forced_difficulty": spec.policy.forced_difficulty,
-                    "zero_delay": spec.policy.zero_delay,
-                    "bypass_recents": spec.policy.bypass_recents,
-                    "flags": _flags_dict(spec.flags) if spec.flags else None,
-                }
-                for i, spec in sorted(self.sealer_specs.items())
-            },
+        out = asdict(self)
+        del out["sealer_specs"]
+        out["sealers"] = {
+            str(i): {
+                "policy": "malicious" if spec.policy.deviates else "honest",
+                **asdict(spec.policy),
+                "flags": asdict(spec.flags) if spec.flags else None,
+            }
+            for i, spec in sorted(self.sealer_specs.items())
         }
-
-
-def _flags_dict(flags: VerifyFlags) -> dict:
-    return {
-        "check_recently_signed": flags.check_recently_signed,
-        "check_difficulty_domain": flags.check_difficulty_domain,
-        "check_inturn_identity": flags.check_inturn_identity,
-    }
+        return out
 
 
 # -- scenario file parsing ---------------------------------------------------
@@ -142,12 +120,7 @@ _GLOBAL_INT_KEYS = {
     "delay_max_ms",
     "tx_cap",
 }
-_CHECK_KEYS = {
-    "check_recently_signed",
-    "check_difficulty_domain",
-    "check_inturn_identity",
-}
-_SEALER_KEYS = {"policy", "forced_difficulty", "zero_delay", "bypass_recents", "verify"}
+_CHECK_KEYS = {f.name for f in fields(VerifyFlags)}
 _SECTION_RE = re.compile(r"^\[\s*sealer\s+(\d+)\s*\]$")
 
 
@@ -169,10 +142,12 @@ def _parse_int(value: str, line: int) -> int:
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse scenario text; defaults applied, invariants validated."""
-    globals_: dict[str, object] = {}
+    globals_: dict[str, int] = {}
+    preset = "fixed"
     global_checks: dict[str, bool] = {}
-    sealer_sections: dict[int, dict[str, object]] = {}
-    current: dict[str, object] | None = None
+    # per section: key -> (parsed value, line number), in line order
+    sealer_sections: dict[int, dict[str, tuple[object, int]]] = {}
+    current: dict[str, tuple[object, int]] | None = None
     seen_keys: set[str] = set()  # keys already given in the current section
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -201,7 +176,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             elif key == "verify":
                 if value not in ("fixed", "vulnerable", "custom"):
                     raise ParseError(f"unknown verify preset {value!r}", line_no)
-                globals_["verify"] = value
+                preset = value
             elif key in _CHECK_KEYS:
                 global_checks[key] = _parse_bool(value, line_no)
             else:
@@ -210,59 +185,38 @@ def parse_scenario(text: str) -> ScenarioConfig:
             if key == "policy":
                 if value not in ("honest", "malicious"):
                     raise ParseError(f"unknown policy {value!r}", line_no)
-                current["policy"] = value
+                parsed: object = value
             elif key == "forced_difficulty":
-                current["forced_difficulty"] = _parse_int(value, line_no)
+                parsed = _parse_int(value, line_no)
             elif key in ("zero_delay", "bypass_recents"):
-                current[key] = _parse_bool(value, line_no)
+                parsed = _parse_bool(value, line_no)
             elif key == "verify":
                 if value not in ("fixed", "vulnerable"):
                     raise ParseError(f"unknown verify preset {value!r}", line_no)
-                current["verify"] = value
-            elif key not in _SEALER_KEYS:
+                parsed = value
+            else:
                 raise ParseError(f"unknown sealer key {key!r}", line_no)
+            current[key] = (parsed, line_no)
 
     if "n_sealers" not in globals_:
         raise ValidationError("missing required key", "n_sealers")
 
-    preset = globals_.pop("verify", "fixed")
-    base = PRESETS.get(preset, FIXED)  # "custom" starts from fixed
-    flags = VerifyFlags(
-        check_recently_signed=global_checks.get(
-            "check_recently_signed", base.check_recently_signed
-        ),
-        check_difficulty_domain=global_checks.get(
-            "check_difficulty_domain", base.check_difficulty_domain
-        ),
-        check_inturn_identity=global_checks.get(
-            "check_inturn_identity", base.check_inturn_identity
-        ),
-    )
-
     specs: dict[int, SealerSpec] = {}
     for index, section in sorted(sealer_sections.items()):
-        if section.get("policy", "honest") == "malicious":
-            policy = SealerPolicy.malicious(
-                forced_difficulty=section.get("forced_difficulty", 2),
-                zero_delay=section.get("zero_delay", True),
-                bypass_recents=section.get("bypass_recents", True),
-            )
-        else:
-            policy = SealerPolicy.honest()
-        sealer_flags = PRESETS[section["verify"]] if "verify" in section else None
-        specs[index] = SealerSpec(policy=policy, flags=sealer_flags)
+        deviations = {key: value for key, (value, _) in section.items()}
+        malicious = deviations.pop("policy", "honest") == "malicious"
+        verify = deviations.pop("verify", None)
+        if deviations and not malicious:
+            key = next(iter(deviations))
+            raise ParseError(f"{key!r} needs policy = malicious", section[key][1])
+        specs[index] = SealerSpec(
+            policy=SealerPolicy.malicious(**deviations) if malicious else SealerPolicy(),
+            flags=PRESETS[verify] if verify else None,
+        )
 
+    base = PRESETS.get(preset, FIXED)  # "custom" starts from fixed
     config = ScenarioConfig(
-        n_sealers=globals_.get("n_sealers"),
-        block_interval_ms=globals_.get("block_interval_ms", 5000),
-        duration_ms=globals_.get("duration_ms", 1_800_000),
-        tx_rate_per_s=globals_.get("tx_rate_per_s", 10),
-        seed=globals_.get("seed", 0),
-        delay_min_ms=globals_.get("delay_min_ms", 5),
-        delay_max_ms=globals_.get("delay_max_ms", 50),
-        flags=flags,
-        tx_cap=globals_.get("tx_cap"),
-        sealer_specs=specs,
+        **globals_, flags=replace(base, **global_checks), sealer_specs=specs
     )
     config.validate()
     return config
@@ -270,8 +224,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such scenario file: {path}", 0)
+    if not path.is_file():
+        raise ParseError(f"no scenario file at {path}", 0)
     return parse_scenario(path.read_text())
 
 
@@ -445,26 +399,26 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     return assemble_report(config, result)
 
 
+def tracked_sealer(config: ScenarioConfig, report: RunReport) -> int:
+    """The sealer a sweep follows: the first malicious one, else the top sealer of ``report``."""
+    malicious = config.malicious_indices()
+    if malicious:
+        return malicious[0]
+    return max(range(config.n_sealers), key=report.sealer_share)
+
+
 def run_sweep(config: ScenarioConfig, seeds: list[int]) -> tuple[list[RunReport], dict]:
     """Rerun ``config`` across ``seeds`` and aggregate the attacker's share.
 
     With no malicious sealer configured, the largest per-sealer share of
     each run is aggregated instead.
     """
-    import dataclasses
-
     reports = []
     shares = []
-    malicious = config.malicious_indices()
     for seed in seeds:
-        seeded = dataclasses.replace(config, seed=seed)
-        report = run_scenario(seeded)
-        if malicious:
-            share = report.sealer_share(malicious[0])
-        else:
-            share = max(report.sealer_share(i) for i in range(config.n_sealers))
+        report = run_scenario(replace(config, seed=seed))
         reports.append(report)
-        shares.append(share)
+        shares.append(report.sealer_share(tracked_sealer(config, report)))
     summary = {
         "seeds": list(seeds),
         "mean_share": sum(shares) / len(shares) if shares else 0.0,

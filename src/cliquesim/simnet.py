@@ -62,13 +62,10 @@ class DelayModel:
 
     min_ms: int
     max_ms: int
-    drop_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0 <= self.min_ms <= self.max_ms:
             raise ValueError("need 0 <= min_ms <= max_ms")
-        if self.drop_rate != 0.0:
-            raise ValueError("partial synchrony: drop_rate is fixed at 0")
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,7 @@ class Node:
         self.future_pending: set[bytes] = set()
         self.seen: set[bytes] = set()
         self.canonical_ids: set[int] = set()
-        self.tx_created: dict[int, int] = {}
+        self.tx_created = sim.tx_created  # shared: every node gets each batch at once
         # tx ids packed into own blocks that have not landed canonically yet
         self.own_packed: dict[bytes, tuple[int, ...]] = {}
         self.arrivals = 0
@@ -301,7 +298,7 @@ class Simulation:
         self._queue: list[tuple[int, int, int, object]] = []
         self._next_seq = 0
         self.tallies = [SealerTally() for _ in sealers]
-        self.txs_generated = 0
+        self.tx_created: dict[int, int] = {}  # tx id -> creation time
         genesis = make_genesis()
         self.nodes = [
             Node(self, i, policies[i], flags[i], genesis) for i in range(len(sealers))
@@ -364,7 +361,7 @@ class Simulation:
             sealers=self.sealers,
             tallies=self.tallies,
             node_counters=[node.counters() for node in self.nodes],
-            txs_generated=self.txs_generated,
+            txs_generated=len(self.tx_created),
         )
 
     def _dispatch(self, payload: object) -> None:
@@ -374,10 +371,9 @@ class Simulation:
             if self.now <= self.t_end:
                 self.nodes[payload.node].seal(payload.epoch)
         elif isinstance(payload, TxBatch):
-            self.txs_generated += len(payload.txs)
+            for tx in payload.txs:
+                self.tx_created[tx.id] = tx.created_ms
             for node in self.nodes:
-                for tx in payload.txs:
-                    node.tx_created[tx.id] = tx.created_ms
                 node.mempool.add(list(payload.txs))
         elif isinstance(payload, RunEnd):
             self.running = False

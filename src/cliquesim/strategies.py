@@ -1,18 +1,17 @@
-"""Sealer behaviour policies.
+"""Sealer policy: which protocol constraints a sealer drops.
 
-The honest policy follows the protocol: respect the recently-signed
-window, claim the difficulty the rotation assigns, and hold every block
-until its protocol timestamp (plus a random wiggle when out of turn). The
-malicious policy is the same client with three local constraints ripped
-out: it claims a fixed difficulty (2 by default, settable to an invalid
-value such as 9), broadcasts with zero delay, and ignores the
+The honest client respects the recently-signed window, claims the
+difficulty the rotation assigns, and holds every block until its
+protocol timestamp (plus a random wiggle when out of turn). The
+frontrunner is the same client with those three local constraints
+removed: it claims a fixed difficulty (2 by default, settable to an
+invalid value such as 9), broadcasts with zero delay, and ignores the
 recently-signed window. It still chains off whatever head its own fork
 choice reports; it frontruns leadership, not consistency.
 """
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass
 
@@ -25,26 +24,22 @@ from .engine import (
 )
 
 
-class PolicyKind(enum.Enum):
-    HONEST = "honest"
-    MALICIOUS = "malicious"
-
-
 @dataclass(frozen=True)
 class SealerPolicy:
-    kind: PolicyKind
+    """The protocol constraints a sealer drops; all defaults mean honest."""
+
     forced_difficulty: int | None = None
     zero_delay: bool = False
     bypass_recents: bool = False
 
-    def __post_init__(self) -> None:
-        if self.kind is PolicyKind.HONEST:
-            if self.forced_difficulty is not None or self.zero_delay or self.bypass_recents:
-                raise ValueError("honest policy takes no overrides")
+    @property
+    def deviates(self) -> bool:
+        """Whether any constraint is dropped; reports label such a sealer malicious."""
+        return self.forced_difficulty is not None or self.zero_delay or self.bypass_recents
 
     @classmethod
     def honest(cls) -> "SealerPolicy":
-        return cls(PolicyKind.HONEST)
+        return cls()
 
     @classmethod
     def malicious(
@@ -53,7 +48,8 @@ class SealerPolicy:
         zero_delay: bool = True,
         bypass_recents: bool = True,
     ) -> "SealerPolicy":
-        return cls(PolicyKind.MALICIOUS, forced_difficulty, zero_delay, bypass_recents)
+        """The frontrunner; an argument set to its honest value keeps that constraint."""
+        return cls(forced_difficulty, zero_delay, bypass_recents)
 
 
 @dataclass(frozen=True)
@@ -81,25 +77,27 @@ def plan_proposal(
     self_index: int,
     rng: random.Random,
 ) -> ProposalPlan:
-    """Plan the next block on top of ``ctx``'s parent under ``policy``."""
+    """Plan the next block on top of ``ctx``'s parent under ``policy``.
+
+    Each deviation overrides one field of the honest plan: a forced
+    difficulty replaces the rotation's, zero delay fires at ``now``, and
+    bypassing the recents window makes the plan eligible. The wiggle is
+    drawn only for a waiting sealer that is not the round leader.
+    """
     n_sealers = ctx.snapshot.size
     height = ctx.next_number
     claim = ctx.next_claim_ms
-    is_leader = self_index == leader_index(height, n_sealers)
-    honest_eligible = not signed_recently(ctx.snapshot, self_index, height)
-
-    if policy.kind is PolicyKind.HONEST:
-        difficulty = difficulty_for(self_index, height, n_sealers)
-        fire_at = claim if is_leader else claim + wiggle_delay(n_sealers, rng)
-        eligible = honest_eligible
+    if policy.forced_difficulty is not None:
+        difficulty = policy.forced_difficulty
     else:
-        difficulty = policy.forced_difficulty if policy.forced_difficulty is not None else 2
-        if policy.zero_delay:
-            fire_at = ctx.now_ms
-        else:
-            fire_at = claim if is_leader else claim + wiggle_delay(n_sealers, rng)
-        eligible = True if policy.bypass_recents else honest_eligible
-
+        difficulty = difficulty_for(self_index, height, n_sealers)
+    if policy.zero_delay:
+        fire_at = ctx.now_ms
+    elif self_index == leader_index(height, n_sealers):
+        fire_at = claim
+    else:
+        fire_at = claim + wiggle_delay(n_sealers, rng)
+    eligible = policy.bypass_recents or not signed_recently(ctx.snapshot, self_index, height)
     return ProposalPlan(
         height=height,
         parent=ctx.parent_hash,

@@ -20,11 +20,11 @@ from cliquesim import (
     build_simulation,
     make_genesis,
     preset_config,
-    record_seal,
     recents_window,
     run_scenario,
     run_sweep,
     signed_recently,
+    snapshot_for_chain,
     verify_header,
 )
 
@@ -179,14 +179,24 @@ def test_criterion_5_recents_window_oracle():
     while cases < 10_000:
         n = rng.randint(1, 21)
         addrs = tuple(f"0x{i:040x}" for i in range(n))
-        snapshot = SealerSnapshot(addrs)
         history = []
         number = 0
         for _ in range(rng.randrange(2 * n + 2)):
             number += 1
             sealer = rng.randrange(n)
-            snapshot = record_seal(snapshot, number, sealer)
             history.append((number, sealer))
+        chain = [
+            BlockHeader(
+                number=seen,
+                parent=b"\x00" * 32,
+                sealer_index=sealer,
+                sealer_addr=addrs[sealer],
+                difficulty=1,
+                sim_time_ms=seen * 5000,
+            )
+            for seen, sealer in history
+        ]
+        snapshot = snapshot_for_chain(addrs, chain)
         window = recents_window(n)
         for _ in range(4):
             probe = rng.randrange(n)

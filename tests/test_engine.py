@@ -11,9 +11,10 @@ from cliquesim import (
     VerifyFlags,
     difficulty_for,
     leader_index,
+    make_genesis,
     recents_window,
-    record_seal,
     signed_recently,
+    snapshot_for_chain,
     verify_header,
     wiggle_delay,
 )
@@ -95,18 +96,18 @@ def test_wiggle_deterministic_per_seed():
 # -- recents window --------------------------------------------------------------
 
 def test_signed_recently_inside_window():
-    snap = record_seal(SealerSnapshot(addresses(5)), 10, 3)
+    snap = SealerSnapshot(addresses(5), {10: 3})
     assert signed_recently(snap, 3, 12) is True
 
 
 def test_signed_recently_outside_window():
-    snap = record_seal(SealerSnapshot(addresses(5)), 10, 3)
+    snap = SealerSnapshot(addresses(5), {10: 3})
     assert signed_recently(snap, 3, 14) is False
 
 
 def test_signed_recently_free_again_at_window_width():
     # sealed at n: blocked for the next W-1 heights, free at n + W
-    snap = record_seal(SealerSnapshot(addresses(5)), 10, 3)
+    snap = SealerSnapshot(addresses(5), {10: 3})
     window = recents_window(5)
     for k in range(1, window):
         assert signed_recently(snap, 3, 10 + k) is True
@@ -118,43 +119,32 @@ def test_signed_recently_empty_recents():
     assert all(not signed_recently(snap, s, 9) for s in range(5))
 
 
-def test_record_seal_evicts_old_entries():
-    snap = SealerSnapshot(addresses(5))
-    for number in (1, 2, 3, 4):
-        snap = record_seal(snap, number, number % 5)
-    assert sorted(snap.recents) == [2, 3, 4]
-
-
-def test_record_seal_single_sealer_keeps_last_only():
-    snap = SealerSnapshot(addresses(1))
-    for number in (1, 2, 3):
-        snap = record_seal(snap, number, 0)
-        assert list(snap.recents) == [number]
-
-
-def test_record_seal_fresh_snapshot():
-    snap = record_seal(SealerSnapshot(addresses(5)), 1, 1)
-    assert snap.recents == {1: 1}
-
-
-def test_record_seal_is_pure():
-    original = SealerSnapshot(addresses(5))
-    record_seal(original, 1, 1)
-    assert original.recents == {}
+def test_snapshot_for_chain_keeps_the_trailing_window():
+    # N = 5: W = 3, so of blocks 1..4 only 2, 3 and 4 are kept
+    chain = [make_genesis()] + [header_for(n, n % 5, 1) for n in (1, 2, 3, 4)]
+    assert snapshot_for_chain(addresses(5), chain).recents == {2: 2, 3: 3, 4: 4}
+    # N = 1: W = 1 keeps the last block only
+    for last in (1, 2, 3):
+        chain = [header_for(n, 0, 1) for n in range(1, last + 1)]
+        assert snapshot_for_chain(addresses(1), chain).recents == {last: 0}
+    # genesis never enters the window
+    assert snapshot_for_chain(addresses(5), [make_genesis()]).recents == {}
+    chain = [make_genesis(), header_for(1, 1, 1)]
+    assert snapshot_for_chain(addresses(5), chain).recents == {1: 1}
 
 
 def test_signed_recently_matches_brute_force_scan():
     rng = random.Random(99)
     for _ in range(300):
         n = rng.randint(1, 21)
-        snap = SealerSnapshot(addresses(n))
         history = []
         number = 0
         for _ in range(rng.randrange(12)):
             number += 1
             sealer = rng.randrange(n)
-            snap = record_seal(snap, number, sealer)
             history.append((number, sealer))
+        chain = [header_for(number, sealer, 1) for number, sealer in history]
+        snap = snapshot_for_chain(addresses(n), chain)
         probe = rng.randrange(n)
         next_number = number + 1 + rng.randrange(3)
         assert signed_recently(snap, probe, next_number) == brute_signed_recently(
@@ -183,7 +173,7 @@ def test_verify_accepts_wrong_turn_under_vulnerable():
 
 
 def test_verify_rejects_recently_signed_under_fixed():
-    snap = record_seal(SealerSnapshot(addresses(5)), 5, 1)
+    snap = SealerSnapshot(addresses(5), {5: 1})
     verdict = verify_header(header_for(6, 1, 2), snap, FIXED)
     assert verdict is RejectReason.RECENTLY_SIGNED
 
@@ -201,7 +191,7 @@ def test_verify_accepts_honest_leader_and_edge():
 
 
 def test_verify_is_pure():
-    snap = record_seal(SealerSnapshot(addresses(5)), 5, 1)
+    snap = SealerSnapshot(addresses(5), {5: 1})
     header = header_for(6, 1, 2)
     assert verify_header(header, snap, FIXED) == verify_header(header, snap, FIXED)
 
@@ -216,11 +206,12 @@ def test_disabling_checks_never_rejects_more():
     ]
     for _ in range(400):
         n = rng.randint(1, 9)
-        snap = SealerSnapshot(addresses(n))
+        chain = []
         number = 1
         for _ in range(rng.randrange(6)):
-            snap = record_seal(snap, number, rng.randrange(n))
+            chain.append(header_for(number, rng.randrange(n), 1))
             number += 1
+        snap = snapshot_for_chain(addresses(n), chain)
         header = header_for(number, rng.randrange(n), rng.choice((0, 1, 2, 9)))
         for strong in all_flag_sets:
             if verify_header(header, snap, strong) is not None:

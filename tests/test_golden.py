@@ -6,6 +6,14 @@ seed, the SHA-256 of ``RunReport.to_json()``. Both were produced by the
 simulator before the chain walks became incremental; a change that alters
 any event, tie-break or counter shows up here, where the in-process
 determinism check would pass it.
+
+``golden/scenarios.json`` maps a name to a scenario text and the SHA-256
+of its report. Those scenarios cover what the presets do not: attackers
+that keep some honest constraints (wiggle delay, recents window, rotation
+difficulty), zero and invalid forced difficulties under ``verify =
+custom``, zero link delay, N = 7 and 9, ``tx_cap`` and per-sealer verifier
+overrides. They were produced by the simulator before the sealer policy
+was reduced to its three deviation fields.
 """
 
 import dataclasses
@@ -15,10 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from cliquesim import export_block_log, preset_config, run_scenario
+from cliquesim import export_block_log, parse_scenario, preset_config, run_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 REPORT_DIGESTS = json.loads((GOLDEN / "reports.json").read_text())
+SCENARIOS = json.loads((GOLDEN / "scenarios.json").read_text())
 
 
 @pytest.mark.parametrize("name", ["honest", "attack", "fixed"])
@@ -36,3 +45,10 @@ def test_preset_report_digest_matches_golden(name, seed):
     config = dataclasses.replace(preset_config(name), seed=int(seed))
     digest = hashlib.sha256(run_scenario(config).to_json().encode()).hexdigest()
     assert digest == REPORT_DIGESTS[name][seed]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_report_digest_matches_golden(name):
+    pin = SCENARIOS[name]
+    report = run_scenario(parse_scenario(pin["scenario"]))
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == pin["sha256"]

@@ -5,9 +5,9 @@ import pytest
 from cliquesim import (
     FIXED,
     ParseError,
-    PolicyKind,
     RunReport,
     ScenarioConfig,
+    SealerPolicy,
     VULNERABLE,
     ValidationError,
     emit_chart,
@@ -105,6 +105,32 @@ def test_duplicates_name_the_line(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("n_sealers = 5\n[sealer 2]\nforced_difficulty = 9\n", 3),
+        ("n_sealers = 5\n[sealer 2]\nverify = fixed\nzero_delay = false\n", 4),
+        ("n_sealers = 5\n[sealer 2]\nbypass_recents = true\npolicy = honest\n", 3),
+        ("n_sealers = 5\n[sealer 2]\npolicy = honest\nverify = fixed\nbypass_recents = true\n", 5),
+    ],
+    ids=["missing-policy", "missing-policy-after-verify", "honest-after", "explicit-honest"],
+)
+def test_deviation_key_outside_malicious_section_names_the_line(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_scenario(text)
+    assert err.value.line == line
+    assert "policy = malicious" in str(err.value)
+
+
+def test_malicious_section_takes_missing_deviations_from_the_full_attacker():
+    config = parse_scenario(
+        "n_sealers = 5\n[sealer 1]\npolicy = malicious\n"
+        "[sealer 2]\nforced_difficulty = 9\nzero_delay = false\npolicy = malicious\n"
+    )
+    assert config.sealer_specs[1].policy == SealerPolicy.malicious()
+    assert config.sealer_specs[2].policy == SealerPolicy(9, False, True)
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ParseError):
         load_scenario(tmp_path / "nope.scenario")
@@ -117,7 +143,7 @@ def test_attack_preset_shape():
     assert config.n_sealers == 5
     assert config.flags == VULNERABLE
     policy = config.sealer_specs[2].policy
-    assert policy.kind is PolicyKind.MALICIOUS
+    assert policy.deviates
     assert policy.forced_difficulty == 2
     assert policy.zero_delay and policy.bypass_recents
     assert config.malicious_indices() == [2]
@@ -289,6 +315,18 @@ def test_cli_seed_override_changes_addresses(tmp_path):
 def test_cli_missing_scenario_exits_2(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "missing.scenario")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_directory_scenario_exits_2(tmp_path, capsys):
+    assert cli.main(["run", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_deviation_key_without_malicious_policy_exits_2(tmp_path, capsys):
+    bad = tmp_path / "honest-override.scenario"
+    bad.write_text("n_sealers = 5\n[sealer 2]\npolicy = honest\nbypass_recents = true\n")
+    assert cli.main(["run", str(bad), "--out", str(tmp_path)]) == 2
+    assert "line 4" in capsys.readouterr().err
 
 
 def test_cli_invalid_scenario_exits_2(tmp_path, capsys):

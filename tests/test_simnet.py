@@ -177,8 +177,6 @@ def test_future_claimed_block_waits_for_its_timestamp():
 def test_delay_model_validation():
     with pytest.raises(ValueError):
         DelayModel(50, 10)
-    with pytest.raises(ValueError):
-        DelayModel(0, 10, drop_rate=0.5)
 
 
 def test_nonconvergence_detected_at_drain():

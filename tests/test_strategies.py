@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -5,22 +7,19 @@ import pytest
 from cliquesim import (
     FIXED,
     BlockHeader,
-    PolicyKind,
     ProposalContext,
+    ProposalPlan,
     SealerPolicy,
     SealerSnapshot,
     VULNERABLE,
     on_new_head,
     plan_proposal,
-    record_seal,
     verify_header,
 )
 
 
 def make_ctx(parent_number=0, now_ms=0, recents=None, n=5, parent_time=None):
-    snap = SealerSnapshot(tuple(f"0x{i:040x}" for i in range(n)))
-    for number, sealer in (recents or {}).items():
-        snap = record_seal(snap, number, sealer)
+    snap = SealerSnapshot(tuple(f"0x{i:040x}" for i in range(n)), dict(recents or {}))
     return ProposalContext(
         parent_number=parent_number,
         parent_hash=b"\xaa" * 32,
@@ -83,17 +82,14 @@ def test_malicious_bypasses_recents():
     plan = plan_proposal(SealerPolicy.malicious(), ctx, 3, random.Random(0))
     assert plan.eligible is True
     honest = plan_proposal(
-        SealerPolicy(PolicyKind.MALICIOUS, forced_difficulty=2, zero_delay=True,
-                     bypass_recents=False),
+        SealerPolicy(forced_difficulty=2, zero_delay=True, bypass_recents=False),
         ctx, 3, random.Random(0),
     )
     assert honest.eligible is False
 
 
 def test_malicious_without_zero_delay_follows_honest_schedule():
-    policy = SealerPolicy(
-        PolicyKind.MALICIOUS, forced_difficulty=2, zero_delay=False, bypass_recents=True
-    )
+    policy = SealerPolicy(forced_difficulty=2, zero_delay=False, bypass_recents=True)
     plan = plan_proposal(policy, make_ctx(now_ms=1), 3, random.Random(5))
     assert 5000 <= plan.fire_at_ms <= 6500
 
@@ -136,11 +132,6 @@ def test_honest_plans_pass_fixed_verification():
         assert verify_header(header, ctx.snapshot, FIXED) is None
 
 
-def test_honest_policy_rejects_overrides():
-    with pytest.raises(ValueError):
-        SealerPolicy(PolicyKind.HONEST, zero_delay=True)
-
-
 def test_on_new_head_keeps_plan_for_same_parent():
     ctx = make_ctx()
     rng = random.Random(0)
@@ -180,3 +171,76 @@ def test_plan_fire_never_in_the_past():
         policy = rng.choice((SealerPolicy.honest(), SealerPolicy.malicious()))
         plan = plan_proposal(policy, ctx, rng.randrange(5), rng)
         assert plan.fire_at_ms >= now
+
+
+def reference_plan(policy, ctx, sealer, rng):
+    """Oracle: the honest plan, then each deviation overriding its own field.
+
+    Built from the Clique rules directly, not from the engine. The wiggle
+    is drawn only when the sealer waits and is not the round leader.
+    """
+    n = ctx.snapshot.size
+    height = ctx.next_number
+    window = n // 2 + 1
+    in_turn = sealer == height % n
+    plan = ProposalPlan(
+        height=height,
+        parent=ctx.parent_hash,
+        difficulty=2 if in_turn else 1,
+        claim_ms=ctx.next_claim_ms,
+        fire_at_ms=ctx.next_claim_ms,
+        eligible=not any(
+            signer == sealer and height - window < number < height
+            for number, signer in ctx.snapshot.recents.items()
+        ),
+    )
+    if policy.forced_difficulty is not None:
+        plan = dataclasses.replace(plan, difficulty=policy.forced_difficulty)
+    if policy.zero_delay:
+        plan = dataclasses.replace(plan, fire_at_ms=ctx.now_ms)
+    elif not in_turn:
+        plan = dataclasses.replace(plan, fire_at_ms=plan.claim_ms + rng.randint(0, window * 500))
+    if policy.bypass_recents:
+        plan = dataclasses.replace(plan, eligible=True)
+    return plan
+
+
+ALL_POLICIES = [
+    SealerPolicy(forced, zero_delay, bypass)
+    for forced, zero_delay, bypass in itertools.product(
+        (None, 0, 2, 9), (False, True), (False, True)
+    )
+]
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES, ids=repr)
+def test_plan_matches_honest_plan_with_overrides(policy):
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        parent_number = rng.randrange(40)
+        recents = {
+            parent_number - back: rng.randrange(n)
+            for back in range(rng.randrange(n + 1))
+            if parent_number - back > 0
+        }
+        parent_time = parent_number * 5000 + rng.randrange(3000)
+        ctx = make_ctx(
+            parent_number=parent_number,
+            now_ms=parent_time + rng.choice((0, rng.randrange(12_000))),
+            recents=recents,
+            n=n,
+            parent_time=parent_time,
+        )
+        sealer = rng.randrange(n)
+        seed = rng.randrange(2**32)
+        actual_rng, expected_rng = random.Random(seed), random.Random(seed)
+        actual = plan_proposal(policy, ctx, sealer, actual_rng)
+        assert actual == reference_plan(policy, ctx, sealer, expected_rng)
+        assert actual_rng.getstate() == expected_rng.getstate()
+
+
+def test_deviates_means_any_constraint_dropped():
+    assert [policy.deviates for policy in ALL_POLICIES] == [False] + [True] * 15
+    assert SealerPolicy.honest() == ALL_POLICIES[0]
+    assert SealerPolicy.malicious() == SealerPolicy(2, True, True)
