@@ -55,7 +55,7 @@ from .harness import (
 )
 from .simnet import DelayModel, NonConvergenceError, Simulation
 from .strategies import ProposalPlan, SealerPolicy, on_new_head, plan_proposal
-from .workload import Mempool, Tx, tx_batch_schedule
+from .workload import Mempool, tx_batch_schedule
 
 __version__ = "0.1.0"
 
@@ -83,7 +83,6 @@ __all__ = [
     "SealerSnapshot",
     "SealerSpec",
     "Simulation",
-    "Tx",
     "UnknownBlockError",
     "UnknownParentError",
     "VULNERABLE",

@@ -69,7 +69,7 @@ class BlockHeader:
                 self.sealer_addr,
                 str(self.difficulty),
                 str(self.sim_time_ms),
-                ",".join(str(tx) for tx in self.tx_ids),
+                ",".join(map(str, self.tx_ids)),
             )
         )
         return hashlib.sha256(encoding.encode("ascii")).digest()
@@ -122,7 +122,6 @@ class ChainStore:
         self._blocks: dict[bytes, _Stored] = {
             self.genesis: _Stored(genesis, arrival_seq=0, total_difficulty=0)
         }
-        self._children: dict[bytes, list[bytes]] = {self.genesis: []}
         # Leaves of the tree; insertion-ordered for deterministic scans.
         self._tips: dict[bytes, None] = {self.genesis: None}
         self._best = self.genesis
@@ -146,9 +145,6 @@ class ChainStore:
         except KeyError:
             raise UnknownBlockError(block_hash.hex()) from None
 
-    def children(self, block_hash: bytes) -> list[bytes]:
-        return list(self._children.get(block_hash, ()))
-
     def extend(self, header: BlockHeader) -> bytes:
         """Insert ``header`` under its parent and return its hash."""
         block_hash = hash_header(header)
@@ -169,8 +165,6 @@ class ChainStore:
         )
         self._blocks[block_hash] = stored
         self._next_seq += 1
-        self._children[header.parent].append(block_hash)
-        self._children[block_hash] = []
         self._tips.pop(header.parent, None)
         self._tips[block_hash] = None
         # The new block arrived last, so it loses every tie and takes the

@@ -46,7 +46,7 @@ from .engine import (
     verify_header,
 )
 from .strategies import ProposalPlan, SealerPolicy
-from .workload import Mempool, Tx
+from .workload import Mempool
 
 
 class NonConvergenceError(Exception):
@@ -82,7 +82,7 @@ class SealFire:
 
 @dataclass(frozen=True)
 class TxBatch:
-    txs: tuple[Tx, ...]
+    txs: range
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,6 @@ class Node:
         self.future_pending: set[bytes] = set()
         self.seen: set[bytes] = set()
         self.canonical_ids: set[int] = set()
-        self.tx_created = sim.tx_created  # shared: every node gets each batch at once
         # tx ids packed into own blocks that have not landed canonically yet
         self.own_packed: dict[bytes, tuple[int, ...]] = {}
         self.arrivals = 0
@@ -186,7 +185,7 @@ class Node:
             if header.sealer_index == self.index:
                 packed = self.own_packed.pop(block_hash, None)
                 if packed:
-                    self.mempool.restore(packed, self.tx_created)
+                    self.mempool.restore(packed)
             return
         try:
             self.store.extend(header)
@@ -213,7 +212,7 @@ class Node:
             self.canonical_ids.difference_update(header.tx_ids)
         for header in adopted:
             self.canonical_ids.update(header.tx_ids)
-        self.mempool.on_canonical_update(abandoned, adopted, self.tx_created)
+        self.mempool.on_canonical_update(abandoned, adopted)
         self.snapshot = self._snapshot_at(new_head)
         self.replan()
 
@@ -330,9 +329,9 @@ class Simulation:
             delay = self.rng.randint(self.delay_model.min_ms, self.delay_model.max_ms)
             self.schedule(self.now + delay, BlockArrival(peer.index, header))
 
-    def schedule_tx_batches(self, batches: list[tuple[int, list[Tx]]]) -> None:
+    def schedule_tx_batches(self, batches: list[tuple[int, range]]) -> None:
         for at_ms, txs in batches:
-            self.schedule(at_ms, TxBatch(tuple(txs)))
+            self.schedule(at_ms, TxBatch(txs))
 
     def start(self) -> None:
         """Install the first proposal plans (genesis is already everyone's head)."""
@@ -371,10 +370,12 @@ class Simulation:
             if self.now <= self.t_end:
                 self.nodes[payload.node].seal(payload.epoch)
         elif isinstance(payload, TxBatch):
-            for tx in payload.txs:
-                self.tx_created[tx.id] = tx.created_ms
+            # One tuple for all: every node's pending set and tx_created then
+            # hold the same int objects rather than one copy each.
+            txs = tuple(payload.txs)
+            self.tx_created.update(dict.fromkeys(txs, self.now))
             for node in self.nodes:
-                node.mempool.add(list(payload.txs))
+                node.mempool.add(txs)
         elif isinstance(payload, RunEnd):
             self.running = False
         else:  # pragma: no cover

@@ -1,45 +1,44 @@
-"""Constant-rate transaction generation, mempools, and block packing."""
+"""Constant-rate transaction generation, mempools, and block packing.
+
+A transaction is just its id; the creation time of each id is kept once
+per run, in ``Simulation.tx_created``.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .chain import BlockHeader
 
 
-@dataclass(frozen=True)
-class Tx:
-    id: int
-    created_ms: int
-
-
-def tx_batch_schedule(rate_per_s: int, t_end_ms: int) -> list[tuple[int, list[Tx]]]:
-    """One batch per whole second up to ``t_end_ms``, ``rate_per_s`` txs each.
+def tx_batch_schedule(rate_per_s: int, t_end_ms: int) -> list[tuple[int, range]]:
+    """One batch per whole second up to ``t_end_ms``, ``rate_per_s`` tx ids each.
 
     Every node receives the same batch at the same instant; transaction
-    gossip is abstracted away.
+    gossip is abstracted away. Batch ``k`` (at ``k * 1000`` ms) holds the
+    ids ``(k - 1) * rate_per_s`` up to ``k * rate_per_s``, exclusive.
     """
     if rate_per_s <= 0:
         raise ValueError("tx rate must be positive")
-    batches = []
-    next_id = 0
-    for second in range(1, t_end_ms // 1000 + 1):
-        at_ms = second * 1000
-        txs = [Tx(next_id + i, at_ms) for i in range(rate_per_s)]
-        next_id += rate_per_s
-        batches.append((at_ms, txs))
-    return batches
+    return [
+        (second * 1000, range((second - 1) * rate_per_s, second * rate_per_s))
+        for second in range(1, t_end_ms // 1000 + 1)
+    ]
 
 
 @dataclass
 class Mempool:
-    """Per-node pending set, FIFO by (created_ms, id)."""
+    """Per-node set of pending tx ids, FIFO by id.
 
-    pending: dict[int, int] = field(default_factory=dict)  # tx id -> created_ms
+    Id order is creation order, because ``tx_batch_schedule`` assigns ids
+    in time order.
+    """
 
-    def add(self, txs: list[Tx]) -> None:
-        for tx in txs:
-            self.pending.setdefault(tx.id, tx.created_ms)
+    pending: set[int] = field(default_factory=set)
+
+    def add(self, txs: Iterable[int]) -> None:
+        self.pending.update(txs)
 
     def pack_block(self, canonical_ids: set[int], cap: int | None = None) -> tuple[int, ...]:
         """Pop pending txs not already canonical, oldest first.
@@ -47,38 +46,22 @@ class Mempool:
         The packed ids leave the pending set; the caller restores them if
         the seal never takes effect.
         """
-        order = sorted(
-            (tx_id for tx_id in self.pending if tx_id not in canonical_ids),
-            key=lambda tx_id: (self.pending[tx_id], tx_id),
-        )
+        order = sorted(self.pending - canonical_ids)
         if cap is not None:
             order = order[:cap]
-        for tx_id in order:
-            del self.pending[tx_id]
+        self.pending.difference_update(order)
         return tuple(order)
 
-    def restore(self, tx_ids: tuple[int, ...], created: dict[int, int]) -> None:
-        for tx_id in tx_ids:
-            self.pending.setdefault(tx_id, created[tx_id])
+    def restore(self, tx_ids: tuple[int, ...]) -> None:
+        self.pending.update(tx_ids)
 
-    def on_canonical_update(
-        self,
-        abandoned: list[BlockHeader],
-        adopted: list[BlockHeader],
-        created: dict[int, int],
-    ) -> None:
+    def on_canonical_update(self, abandoned: list[BlockHeader], adopted: list[BlockHeader]) -> None:
         """Re-pend txs only in abandoned blocks; drop txs the new chain holds.
 
         ``abandoned`` and ``adopted`` are the two branches a head move
         leaves and joins, past their common ancestor (``ChainStore.reorg``).
         """
-        abandoned_ids: set[int] = set()
         for header in abandoned:
-            abandoned_ids.update(header.tx_ids)
-        adopted_ids: set[int] = set()
+            self.pending.update(header.tx_ids)
         for header in adopted:
-            adopted_ids.update(header.tx_ids)
-        for tx_id in abandoned_ids - adopted_ids:
-            self.pending.setdefault(tx_id, created[tx_id])
-        for tx_id in adopted_ids:
-            self.pending.pop(tx_id, None)
+            self.pending.difference_update(header.tx_ids)

@@ -63,13 +63,19 @@ def path_difficulty(store: ChainStore, tip: bytes) -> int:
 def brute_force_head(store: ChainStore) -> bytes:
     """Independent oracle: enumerate every root-to-leaf path, pick the
     heaviest, break ties by smallest arrival sequence."""
-    leaves = [h for h in iter_hashes(store) if not store.children(h)]
+    parents = {store.header(h).parent for h in iter_hashes(store)}
+    leaves = [h for h in iter_hashes(store) if h not in parents]
     return max(leaves, key=lambda h: (path_difficulty(store, h), -store.arrival_seq(h)))
 
 
 def iter_hashes(store: ChainStore):
-    stack = [store.genesis]
-    while stack:
-        h = stack.pop()
-        yield h
-        stack.extend(store.children(h))
+    """Every block hash in the store, in arrival order.
+
+    The store has no public enumeration, so this reads its block map.
+    """
+    return iter(store._blocks)
+
+
+def children(store: ChainStore, block_hash: bytes) -> list[bytes]:
+    """Independent oracle: the blocks whose parent is ``block_hash``, in arrival order."""
+    return [h for h in iter_hashes(store) if store.header(h).parent == block_hash]

@@ -28,7 +28,7 @@ from cliquesim import (
     verify_header,
 )
 
-from conftest import grow
+from conftest import children, grow
 
 
 @pytest.fixture(scope="module")
@@ -143,9 +143,9 @@ def test_criterion_5_fork_choice_oracle_equivalence():
         stack = [store.genesis]
         while stack:
             h = stack.pop()
-            children = store.children(h)
-            stack.extend(children)
-            if not children:
+            below = children(store, h)
+            stack.extend(below)
+            if not below:
                 leaves.append(h)
         return max(
             leaves, key=lambda h: (path_difficulty(store, h), -store.arrival_seq(h))

@@ -12,7 +12,7 @@ from cliquesim import (
     make_genesis,
 )
 
-from conftest import brute_force_head, child_header, grow, path_difficulty
+from conftest import brute_force_head, child_header, children, grow, path_difficulty
 
 
 # -- hashing -----------------------------------------------------------------
@@ -49,7 +49,7 @@ def test_extend_genesis_then_child(store):
     child = child_header(store, store.genesis)
     child_hash = store.extend(child)
     assert child_hash in store
-    assert store.children(store.genesis) == [child_hash]
+    assert children(store, store.genesis) == [child_hash]
 
 
 def test_extend_unknown_parent(store):

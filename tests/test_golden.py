@@ -14,6 +14,15 @@ difficulty), zero and invalid forced difficulties under ``verify =
 custom``, zero link delay, N = 7 and 9, ``tx_cap`` and per-sealer verifier
 overrides. They were produced by the simulator before the sealer policy
 was reduced to its three deviation fields.
+
+The block log and the report count each block's txs but do not list
+them. ``golden/heads.json`` therefore pins node 0's final head hash, which
+commits to every tx id of the canonical chain in order. It covers the
+presets at seeds 0-3, every scenario above, and the ``fixed`` and
+``attack`` presets at 500 tx/s for two minutes with ``tx_cap`` 700 (the
+cap binds, and the ``fixed`` run restores packed txs of rejected blocks)
+and 0 (every tx stays pending). The pins were produced by the simulator
+before the mempool became a set of tx ids.
 """
 
 import dataclasses
@@ -23,11 +32,34 @@ from pathlib import Path
 
 import pytest
 
-from cliquesim import export_block_log, parse_scenario, preset_config, run_scenario
+from cliquesim import (
+    build_simulation,
+    export_block_log,
+    parse_scenario,
+    preset_config,
+    run_scenario,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 REPORT_DIGESTS = json.loads((GOLDEN / "reports.json").read_text())
 SCENARIOS = json.loads((GOLDEN / "scenarios.json").read_text())
+HEADS = json.loads((GOLDEN / "heads.json").read_text())
+
+HEAD_RUNS = {
+    **{
+        f"{name}-seed{seed}": dataclasses.replace(preset_config(name), seed=seed)
+        for name in ("honest", "attack", "fixed")
+        for seed in range(4)
+    },
+    **{f"scenario-{name}": parse_scenario(pin["scenario"]) for name, pin in SCENARIOS.items()},
+    **{
+        f"{name}-rate500-cap{cap}": dataclasses.replace(
+            preset_config(name), duration_ms=120_000, tx_rate_per_s=500, tx_cap=cap
+        )
+        for name in ("fixed", "attack")
+        for cap in (700, 0)
+    },
+}
 
 
 @pytest.mark.parametrize("name", ["honest", "attack", "fixed"])
@@ -52,3 +84,14 @@ def test_scenario_report_digest_matches_golden(name):
     pin = SCENARIOS[name]
     report = run_scenario(parse_scenario(pin["scenario"]))
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == pin["sha256"]
+
+
+def final_head(config) -> str:
+    sim = build_simulation(config)
+    sim.run_until(config.duration_ms)
+    return sim.nodes[0].head.hex()
+
+
+@pytest.mark.parametrize("name", sorted(HEAD_RUNS))
+def test_final_head_hash_matches_golden(name):
+    assert final_head(HEAD_RUNS[name]) == HEADS[name]

@@ -252,7 +252,7 @@ def test_tx_conservation_per_node_honest():
     for node in sim.nodes:
         pending = set(node.mempool.pending)
         assert not pending & node.canonical_ids
-        assert pending | node.canonical_ids == set(node.tx_created)
+        assert pending | node.canonical_ids == set(sim.tx_created)
 
 
 def test_tx_conservation_per_node_attack():
@@ -262,4 +262,4 @@ def test_tx_conservation_per_node_attack():
         pending = set(node.mempool.pending)
         in_flight = {tx for ids in node.own_packed.values() for tx in ids}
         assert not pending & node.canonical_ids
-        assert pending | node.canonical_ids | in_flight == set(node.tx_created)
+        assert pending | node.canonical_ids | in_flight == set(sim.tx_created)

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from cliquesim import BlockHeader, Mempool, Tx, make_genesis, tx_batch_schedule
+from cliquesim import BlockHeader, Mempool, make_genesis, tx_batch_schedule
 
 
 def blk(number, txs, sealer=0):
@@ -15,9 +17,9 @@ def blk(number, txs, sealer=0):
     )
 
 
-def filled(n, start=0, created=0):
+def filled(n, start=0):
     pool = Mempool()
-    pool.add([Tx(start + i, created) for i in range(n)])
+    pool.add(range(start, start + n))
     return pool
 
 
@@ -40,7 +42,7 @@ def test_stream_zero_duration():
 
 def test_stream_ids_unique_and_monotone():
     batches = tx_batch_schedule(7, 9000)
-    ids = [tx.id for _, txs in batches for tx in txs]
+    ids = [tx for _, txs in batches for tx in txs]
     assert ids == sorted(ids) and len(set(ids)) == len(ids)
 
 
@@ -53,9 +55,9 @@ def test_stream_rejects_zero_rate():
 
 def test_pack_everything_fifo():
     pool = Mempool()
-    pool.add([Tx(2, 100), Tx(0, 50), Tx(1, 50)])
+    pool.add([2, 0, 1])
     assert pool.pack_block(set()) == (0, 1, 2)
-    assert pool.pending == {}
+    assert pool.pending == set()
 
 
 def test_pack_respects_cap():
@@ -76,9 +78,8 @@ def test_pack_skips_canonical():
 
 def test_restore_reinstates_packed_txs():
     pool = filled(3)
-    created = {0: 0, 1: 0, 2: 0}
     packed = pool.pack_block(set())
-    pool.restore(packed, created)
+    pool.restore(packed)
     assert sorted(pool.pending) == [0, 1, 2]
 
 
@@ -89,7 +90,7 @@ def test_canonical_update_no_reorg():
     genesis = make_genesis()
     old = [genesis, blk(1, [0, 1])]
     new = [genesis, blk(1, [0, 1]), blk(2, [2])]
-    pool.on_canonical_update(old, new, {i: 0 for i in range(3)})
+    pool.on_canonical_update(old, new)
     assert sorted(pool.pending) == [100, 101]
 
 
@@ -98,8 +99,8 @@ def test_canonical_update_same_txs_both_sides():
     genesis = make_genesis()
     old = [genesis, blk(1, [0, 1], sealer=1)]
     new = [genesis, blk(1, [0, 1], sealer=2)]
-    pool.on_canonical_update(old, new, {0: 0, 1: 0})
-    assert pool.pending == {}
+    pool.on_canonical_update(old, new)
+    assert pool.pending == set()
 
 
 def test_canonical_update_abandoned_block_repends_txs():
@@ -109,11 +110,9 @@ def test_canonical_update_abandoned_block_repends_txs():
     expected = abandoned_txs - adopted_txs
     pool = Mempool()
     genesis = make_genesis()
-    created = {i: 0 for i in range(50)}
     pool.on_canonical_update(
         [genesis, blk(1, sorted(abandoned_txs))],
         [genesis, blk(1, sorted(adopted_txs), sealer=2)],
-        created,
     )
     assert set(pool.pending) == expected
 
@@ -121,15 +120,101 @@ def test_canonical_update_abandoned_block_repends_txs():
 def test_canonical_update_drops_newly_adopted_from_pending():
     pool = filled(4)
     genesis = make_genesis()
-    pool.on_canonical_update([genesis], [genesis, blk(1, [1, 2])], {i: 0 for i in range(4)})
+    pool.on_canonical_update([genesis], [genesis, blk(1, [1, 2])])
     assert sorted(pool.pending) == [0, 3]
 
 
 def test_canonical_update_partial_overlap():
     pool = Mempool()
     genesis = make_genesis()
-    created = {i: 0 for i in range(6)}
     old = [genesis, blk(1, [0, 1, 2])]
     new = [genesis, blk(1, [2, 3], sealer=2), blk(2, [4], sealer=3)]
-    pool.on_canonical_update(old, new, created)
+    pool.on_canonical_update(old, new)
     assert sorted(pool.pending) == [0, 1]
+
+
+# -- reference model ------------------------------------------------------------
+
+class ReferenceMempool:
+    """The dict-based mempool: tx id -> created_ms, FIFO by (created_ms, id)."""
+
+    def __init__(self):
+        self.pending = {}
+
+    def add(self, stamped):
+        for tx_id, created_ms in stamped:
+            self.pending.setdefault(tx_id, created_ms)
+
+    def pack_block(self, canonical_ids, cap=None):
+        order = sorted(
+            (tx_id for tx_id in self.pending if tx_id not in canonical_ids),
+            key=lambda tx_id: (self.pending[tx_id], tx_id),
+        )
+        if cap is not None:
+            order = order[:cap]
+        for tx_id in order:
+            del self.pending[tx_id]
+        return tuple(order)
+
+    def restore(self, tx_ids, created):
+        for tx_id in tx_ids:
+            self.pending.setdefault(tx_id, created[tx_id])
+
+    def on_canonical_update(self, abandoned, adopted, created):
+        abandoned_ids = {tx for header in abandoned for tx in header.tx_ids}
+        adopted_ids = {tx for header in adopted for tx in header.tx_ids}
+        for tx_id in abandoned_ids - adopted_ids:
+            self.pending.setdefault(tx_id, created[tx_id])
+        for tx_id in adopted_ids:
+            self.pending.pop(tx_id, None)
+
+
+def random_branches(rng, ids):
+    """Two branches of 0-3 blocks whose tx sets overlap in part."""
+    shared = rng.sample(ids, min(len(ids), rng.randrange(4)))
+
+    def branch():
+        return [
+            blk(n, sorted(set(shared + rng.sample(ids, min(len(ids), rng.randrange(6))))))
+            for n in range(1, rng.randrange(4) + 1)
+        ]
+
+    return branch(), branch()
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_mempool_matches_dict_reference_model(seed):
+    rng = random.Random(seed)
+    batches = iter(tx_batch_schedule(rng.randrange(1, 12), rng.randrange(20, 60) * 1000))
+    pool, reference = Mempool(), ReferenceMempool()
+    created: dict[int, int] = {}
+    packed_blocks: list[tuple[int, ...]] = []
+    for _ in range(300):
+        op = rng.choice(("add", "add", "pack", "pack", "restore", "update"))
+        ids = sorted(created)
+        if op == "add":
+            batch = next(batches, None)
+            if batch is None:
+                continue
+            at_ms, txs = batch
+            stamped = [(tx, at_ms) for tx in txs]
+            created.update(stamped)
+            pool.add(txs)
+            reference.add(stamped)
+        elif op == "pack":
+            canonical = set(rng.sample(ids, rng.randrange(len(ids) + 1)))
+            cap = rng.choice((None, 0, 1, 2, 3, 5))
+            packed = pool.pack_block(canonical, cap)
+            assert packed == reference.pack_block(canonical, cap)
+            packed_blocks.append(packed)
+        elif op == "restore":
+            if not packed_blocks:
+                continue
+            packed = packed_blocks.pop(rng.randrange(len(packed_blocks)))
+            pool.restore(packed)
+            reference.restore(packed, created)
+        else:
+            abandoned, adopted = random_branches(rng, ids)
+            pool.on_canonical_update(abandoned, adopted)
+            reference.on_canonical_update(abandoned, adopted, created)
+        assert set(pool.pending) == set(reference.pending)
