@@ -125,8 +125,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"seed {seed}: height {report.totals['canonical_height']}, "
             f"sealer {idx} share {report.sealer_share(idx):.3f}"
         )
+    label = "attacker share" if config.malicious_indices() else "top sealer share"
     print(
-        f"attacker share over {len(seeds)} seeds: "
+        f"{label} over {len(seeds)} seeds: "
         f"mean {summary['mean_share']:.3f}, "
         f"min {summary['min_share']:.3f}, max {summary['max_share']:.3f}"
     )

@@ -53,6 +53,9 @@ class SealerSnapshot:
     ``recents`` maps block number -> sealer index for the most recent
     canonical blocks; it is what makes a sealer temporarily ineligible
     after signing.
+
+    A simulation builds one snapshot per block and shares it between all
+    nodes, so a snapshot, ``recents`` included, must not be mutated.
     """
 
     sealers: tuple[str, ...]

@@ -12,7 +12,10 @@ racing its own stale plan.
 Network model: full-mesh broadcast among N sealer nodes with independent
 uniform per-link delays and no message loss (partial synchrony: everything
 is eventually delivered). Each node keeps its own chain store, mempool and
-sealer snapshot; nothing is shared between nodes except the wire.
+head; nodes share only the wire and the run's sealer-snapshot memo. Sharing
+the memo is sound because a block hash commits to its parent hash and so
+fixes the whole branch: every node that holds the block builds the same
+snapshot at it.
 
 Timestamps vs. firing: a header carries the protocol-claimed time
 (parent + interval). Honest sealers only fire at or after the claim, but
@@ -201,9 +204,19 @@ class Node:
             self._admit(child, hash_header(child))
 
     def _snapshot_at(self, block_hash: bytes) -> SealerSnapshot:
-        """Snapshot of the recently-signed window on the branch ending at ``block_hash``."""
-        window = recents_window(len(self.sim.sealers))
-        return snapshot_for_chain(self.sim.sealers, self.store.chain_tail(block_hash, window))
+        """Snapshot of the recently-signed window on the branch ending at ``block_hash``.
+
+        The run memoises one snapshot per block in ``Simulation.snapshots``,
+        shared by all nodes: the hash fixes the whole branch, so whichever
+        node builds the entry first, from its own store, builds the one every
+        other node would.
+        """
+        snapshot = self.sim.snapshots.get(block_hash)
+        if snapshot is None:
+            window = recents_window(len(self.sim.sealers))
+            snapshot = snapshot_for_chain(self.sim.sealers, self.store.chain_tail(block_hash, window))
+            self.sim.snapshots[block_hash] = snapshot
+        return snapshot
 
     def _move_head(self, new_head: bytes) -> None:
         abandoned, adopted = self.store.reorg(self.head, new_head)
@@ -298,6 +311,7 @@ class Simulation:
         self._next_seq = 0
         self.tallies = [SealerTally() for _ in sealers]
         self.tx_created: dict[int, int] = {}  # tx id -> creation time
+        self.snapshots: dict[bytes, SealerSnapshot] = {}  # block hash -> snapshot at it
         genesis = make_genesis()
         self.nodes = [
             Node(self, i, policies[i], flags[i], genesis) for i in range(len(sealers))

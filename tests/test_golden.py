@@ -13,7 +13,11 @@ that keep some honest constraints (wiggle delay, recents window, rotation
 difficulty), zero and invalid forced difficulties under ``verify =
 custom``, zero link delay, N = 7 and 9, ``tx_cap`` and per-sealer verifier
 overrides. They were produced by the simulator before the sealer policy
-was reduced to its three deviation fields.
+was reduced to its three deviation fields. The wide-committee scenarios
+(N = 21 under both verifiers and N = 41 under the hardened one, each with
+sealer 2 frontrunning) were produced before the nodes of a run came to
+share one sealer snapshot per block; a wide committee has the deepest
+recently-signed window.
 
 The block log and the report count each block's txs but do not list
 them. ``golden/heads.json`` therefore pins node 0's final head hash, which

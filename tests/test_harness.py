@@ -275,8 +275,8 @@ def test_sweep_reports_attacker_share_stats():
 
 # -- command line ----------------------------------------------------------------
 
-def write_mini_scenario(tmp_path, name="mini"):
-    text = preset_text("attack").replace("duration_ms = 1800000", "duration_ms = 60000")
+def write_mini_scenario(tmp_path, name="mini", preset="attack"):
+    text = preset_text(preset).replace("duration_ms = 1800000", "duration_ms = 60000")
     path = tmp_path / f"{name}.scenario"
     path.write_text(text)
     return path
@@ -361,12 +361,16 @@ def test_cli_io_failure_exits_4(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-def test_cli_sweep(tmp_path, capsys):
-    mini = write_mini_scenario(tmp_path)
+@pytest.mark.parametrize(
+    "preset,label", [("attack", "attacker share"), ("honest", "top sealer share")]
+)
+def test_cli_sweep(tmp_path, capsys, preset, label):
+    mini = write_mini_scenario(tmp_path, preset=preset)
     assert cli.main(["sweep", "--seeds", "0..2", str(mini)]) == 0
     out = capsys.readouterr().out
     assert "seed 0:" in out and "seed 2:" in out
     assert "mean" in out and "min" in out and "max" in out
+    assert out.splitlines()[-1].startswith(f"{label} over 3 seeds:")
 
 
 def test_cli_bad_seed_range_exits_2(tmp_path, capsys):

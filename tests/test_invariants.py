@@ -2,15 +2,19 @@
 
 The node keeps its canonical tx set, mempool, sealer snapshot and head up
 to date incrementally as blocks arrive. The invariant test rebuilds each of
-them from the node's chain store after the run and compares. The work test
-counts the headers the chain store's walks hand back, which must grow with
-the number of dispatched events, not with the length of the chain.
+them from the node's chain store after the run and compares, and checks
+every entry of the run's snapshot memo that node could read against a
+rebuild from the node's own store. The work tests count the headers the
+chain store's walks hand back, which must grow with the number of
+dispatched events, not with the length of the chain, and the snapshots
+built, which must be at most one per block whatever the committee size.
 """
 
 import dataclasses
 
 import pytest
 
+import cliquesim.simnet
 from cliquesim import (
     ChainStore,
     build_simulation,
@@ -19,7 +23,7 @@ from cliquesim import (
     snapshot_for_chain,
 )
 
-from conftest import brute_force_head, short_preset
+from conftest import brute_force_head, iter_hashes, short_preset
 
 # Every ChainStore method that walks parent pointers and returns headers.
 WALKS = ("canonical_chain", "reorg", "chain_tail")
@@ -41,12 +45,16 @@ forced_difficulty = 0
 """
 
 
+FIXED_N21 = dataclasses.replace(preset_config("fixed"), n_sealers=21, duration_ms=600_000)
+
+
 def _configs():
     for name in ("honest", "attack", "fixed"):
         for seed in range(3):
             config = dataclasses.replace(preset_config(name), seed=seed)
             yield pytest.param(config, id=f"{name}-seed{seed}")
     yield pytest.param(parse_scenario(ZERO_DIFFICULTY_SCENARIO), id="custom-difficulty-0")
+    yield pytest.param(FIXED_N21, id="fixed-n21")
 
 
 @pytest.mark.parametrize("config", list(_configs()))
@@ -59,6 +67,11 @@ def test_end_of_run_node_invariants(config):
         assert node.canonical_ids == {tx for header in chain for tx in header.tx_ids}
         assert node.canonical_ids.isdisjoint(node.mempool.pending)
         assert node.snapshot.recents == snapshot_for_chain(sim.sealers, chain).recents
+        assert node.snapshot is sim.snapshots[node.head]
+        for h in iter_hashes(node.store):
+            if h in sim.snapshots:
+                rebuilt = snapshot_for_chain(sim.sealers, node.store.canonical_chain(h))
+                assert sim.snapshots[h].recents == rebuilt.recents
 
 
 def _walked_per_event(monkeypatch, minutes):
@@ -88,3 +101,26 @@ def test_chain_walks_per_event_do_not_grow_with_run_length(monkeypatch):
     short = _walked_per_event(monkeypatch, 10)
     long = _walked_per_event(monkeypatch, 40)
     assert long <= 1.25 * short, f"headers walked per event: {short:.2f} at 10 min, {long:.2f} at 40 min"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(FIXED_N21, id="fixed-n21"),
+        pytest.param(preset_config("honest"), id="honest"),
+    ],
+)
+def test_snapshot_built_once_per_block(monkeypatch, config):
+    calls = 0
+    build = cliquesim.simnet.snapshot_for_chain
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cliquesim.simnet, "snapshot_for_chain", counting)
+    sim = build_simulation(config)
+    sim.run_until(config.duration_ms)
+    blocks = {h for node in sim.nodes for h in iter_hashes(node.store)}
+    assert calls <= len(blocks), f"{calls} snapshots built for {len(blocks)} distinct blocks"
