@@ -89,14 +89,15 @@ def signed_recently(snapshot: SealerSnapshot, sealer_index: int, next_number: in
 def snapshot_for_chain(
     sealers: tuple[str, ...], headers: list[BlockHeader]
 ) -> SealerSnapshot:
-    """Snapshot derived from a canonical header sequence (genesis first).
+    """Snapshot as of the last header of a canonical sequence (genesis first).
 
-    Only the last W headers matter, so a caller may pass just those.
+    ``signed_recently`` reads the open interval (next - W, next), so only
+    the last W - 1 headers matter and a caller may pass just those.
     """
-    window = recents_window(len(sealers))
+    kept = recents_window(len(sealers)) - 1
     recents = {
         header.number: header.sealer_index
-        for header in headers[-window:]
+        for header in headers[max(len(headers) - kept, 0):]
         if not header.is_genesis()
     }
     return SealerSnapshot(sealers, recents)

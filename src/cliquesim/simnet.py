@@ -55,7 +55,8 @@ from .workload import Mempool
 class NonConvergenceError(Exception):
     """Same-flag nodes disagree on the head after the drain window.
 
-    This signals a simulator bug, not a protocol outcome.
+    A simulator bug would raise it, and so does a Clique fork deadlock: two
+    equally heavy branches on each of which every honest sealer signed recently.
     """
 
 
@@ -115,7 +116,7 @@ class SimResult:
 
 
 class Node:
-    """One sealer's local view: chain, snapshot, mempool, pending plan."""
+    """One sealer's local view: chain, mempool, pending plan."""
 
     def __init__(
         self,
@@ -131,7 +132,6 @@ class Node:
         self.flags = flags
         self.store = ChainStore(genesis)
         self.head = self.store.genesis
-        self.snapshot = SealerSnapshot(sim.sealers)
         self.mempool = Mempool()
         self.pending: ProposalPlan | None = None
         self.plan_epoch = 0
@@ -140,9 +140,6 @@ class Node:
         # Blocks whose claimed time is still in the future.
         self.future_pending: set[bytes] = set()
         self.seen: set[bytes] = set()
-        self.canonical_ids: set[int] = set()
-        # tx ids packed into own blocks that have not landed canonically yet
-        self.own_packed: dict[bytes, tuple[int, ...]] = {}
         self.arrivals = 0
         self.accepted = 0
         self.rejected = 0
@@ -186,9 +183,7 @@ class Node:
             self.rejected += 1
             self.sim.tallies[header.sealer_index].record_rejection(reason.value)
             if header.sealer_index == self.index:
-                packed = self.own_packed.pop(block_hash, None)
-                if packed:
-                    self.mempool.restore(packed)
+                self.mempool.restore(header.tx_ids)
             return
         try:
             self.store.extend(header)
@@ -196,7 +191,6 @@ class Node:
             self.duplicates += 1
             return
         self.accepted += 1
-        self.own_packed.pop(block_hash, None)
         new_head = self.store.select_head()
         if new_head != self.head:
             self._move_head(new_head)
@@ -213,20 +207,15 @@ class Node:
         """
         snapshot = self.sim.snapshots.get(block_hash)
         if snapshot is None:
-            window = recents_window(len(self.sim.sealers))
-            snapshot = snapshot_for_chain(self.sim.sealers, self.store.chain_tail(block_hash, window))
+            depth = recents_window(len(self.sim.sealers)) - 1
+            snapshot = snapshot_for_chain(self.sim.sealers, self.store.chain_tail(block_hash, depth))
             self.sim.snapshots[block_hash] = snapshot
         return snapshot
 
     def _move_head(self, new_head: bytes) -> None:
         abandoned, adopted = self.store.reorg(self.head, new_head)
         self.head = new_head
-        for header in abandoned:
-            self.canonical_ids.difference_update(header.tx_ids)
-        for header in adopted:
-            self.canonical_ids.update(header.tx_ids)
         self.mempool.on_canonical_update(abandoned, adopted)
-        self.snapshot = self._snapshot_at(new_head)
         self.replan()
 
     # -- proposing ---------------------------------------------------------
@@ -238,7 +227,7 @@ class Node:
             parent_number=head_header.number,
             parent_hash=self.head,
             parent_time_ms=head_header.sim_time_ms,
-            snapshot=self.snapshot,
+            snapshot=self._snapshot_at(self.head),
             now_ms=self.sim.now,
             block_interval_ms=self.sim.block_interval_ms,
         )
@@ -255,7 +244,7 @@ class Node:
             return  # preempted by a newer head
         plan = self.pending
         self.pending = None
-        tx_ids = self.mempool.pack_block(self.canonical_ids, self.sim.tx_cap)
+        tx_ids = self.mempool.pack_block(self.sim.tx_cap)
         header = BlockHeader(
             number=plan.height,
             parent=plan.parent,
@@ -265,7 +254,6 @@ class Node:
             sim_time_ms=plan.claim_ms,
             tx_ids=tx_ids,
         )
-        self.own_packed[hash_header(header)] = tx_ids
         tally = self.sim.tallies[self.index]
         tally.attempts += 1
         if self.index == leader_index(plan.height, len(self.sim.sealers)):
@@ -310,7 +298,7 @@ class Simulation:
         self._queue: list[tuple[int, int, int, object]] = []
         self._next_seq = 0
         self.tallies = [SealerTally() for _ in sealers]
-        self.tx_created: dict[int, int] = {}  # tx id -> creation time
+        self.txs_generated = 0
         self.snapshots: dict[bytes, SealerSnapshot] = {}  # block hash -> snapshot at it
         genesis = make_genesis()
         self.nodes = [
@@ -374,7 +362,7 @@ class Simulation:
             sealers=self.sealers,
             tallies=self.tallies,
             node_counters=[node.counters() for node in self.nodes],
-            txs_generated=len(self.tx_created),
+            txs_generated=self.txs_generated,
         )
 
     def _dispatch(self, payload: object) -> None:
@@ -384,10 +372,10 @@ class Simulation:
             if self.now <= self.t_end:
                 self.nodes[payload.node].seal(payload.epoch)
         elif isinstance(payload, TxBatch):
-            # One tuple for all: every node's pending set and tx_created then
-            # hold the same int objects rather than one copy each.
+            # One tuple for all: every node's ledger then holds the same int
+            # objects rather than one copy each.
             txs = tuple(payload.txs)
-            self.tx_created.update(dict.fromkeys(txs, self.now))
+            self.txs_generated += len(txs)
             for node in self.nodes:
                 node.mempool.add(txs)
         elif isinstance(payload, RunEnd):

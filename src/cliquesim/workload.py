@@ -1,7 +1,7 @@
 """Constant-rate transaction generation, mempools, and block packing.
 
-A transaction is just its id; the creation time of each id is kept once
-per run, in ``Simulation.tx_created``.
+A transaction is just its id, handed out in creation order at a constant
+rate, so its creation time follows from the id (``tx_batch_schedule``).
 """
 
 from __future__ import annotations
@@ -29,24 +29,25 @@ def tx_batch_schedule(rate_per_s: int, t_end_ms: int) -> list[tuple[int, range]]
 
 @dataclass
 class Mempool:
-    """Per-node set of pending tx ids, FIFO by id.
+    """One node's tx ledger: ids on its canonical chain, and pending ids FIFO by id.
 
     Id order is creation order, because ``tx_batch_schedule`` assigns ids
-    in time order.
+    in time order. Ids packed into an own block not yet admitted are in neither set.
     """
 
     pending: set[int] = field(default_factory=set)
+    canonical: set[int] = field(default_factory=set)
 
     def add(self, txs: Iterable[int]) -> None:
         self.pending.update(txs)
 
-    def pack_block(self, canonical_ids: set[int], cap: int | None = None) -> tuple[int, ...]:
+    def pack_block(self, cap: int | None = None) -> tuple[int, ...]:
         """Pop pending txs not already canonical, oldest first.
 
         The packed ids leave the pending set; the caller restores them if
         the seal never takes effect.
         """
-        order = sorted(self.pending - canonical_ids)
+        order = sorted(self.pending - self.canonical)
         if cap is not None:
             order = order[:cap]
         self.pending.difference_update(order)
@@ -56,12 +57,15 @@ class Mempool:
         self.pending.update(tx_ids)
 
     def on_canonical_update(self, abandoned: list[BlockHeader], adopted: list[BlockHeader]) -> None:
-        """Re-pend txs only in abandoned blocks; drop txs the new chain holds.
+        """Move txs of abandoned blocks back to pending and txs of adopted blocks to canonical.
 
         ``abandoned`` and ``adopted`` are the two branches a head move
         leaves and joins, past their common ancestor (``ChainStore.reorg``).
+        A tx in both branches ends canonical.
         """
         for header in abandoned:
+            self.canonical.difference_update(header.tx_ids)
             self.pending.update(header.tx_ids)
         for header in adopted:
+            self.canonical.update(header.tx_ids)
             self.pending.difference_update(header.tx_ids)

@@ -8,6 +8,7 @@ from cliquesim import (
     make_genesis,
     preset_config,
 )
+from cliquesim.simnet import BlockArrival
 
 
 @pytest.fixture
@@ -79,3 +80,19 @@ def iter_hashes(store: ChainStore):
 def children(store: ChainStore, block_hash: bytes) -> list[bytes]:
     """Independent oracle: the blocks whose parent is ``block_hash``, in arrival order."""
     return [h for h in iter_hashes(store) if store.header(h).parent == block_hash]
+
+
+def in_flight(sim, node) -> set[int]:
+    """Tx ids of ``node``'s own blocks still queued to itself as a ``BlockArrival``.
+
+    A zero-delay sealer's block is buffered at its own node until its claim
+    time; until then its tx ids are neither pending nor canonical there.
+    """
+    return {
+        tx
+        for _, _, _, payload in sim._queue
+        if isinstance(payload, BlockArrival)
+        and payload.node == node.index
+        and payload.header.sealer_index == node.index
+        for tx in payload.header.tx_ids
+    }

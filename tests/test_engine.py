@@ -120,17 +120,20 @@ def test_signed_recently_empty_recents():
 
 
 def test_snapshot_for_chain_keeps_the_trailing_window():
-    # N = 5: W = 3, so of blocks 1..4 only 2, 3 and 4 are kept
+    # N = 5: W = 3, and the next block (5) checks (2, 5), so of blocks
+    # 1..4 only the last W - 1, 3 and 4, are kept
     chain = [make_genesis()] + [header_for(n, n % 5, 1) for n in (1, 2, 3, 4)]
-    assert snapshot_for_chain(addresses(5), chain).recents == {2: 2, 3: 3, 4: 4}
-    # N = 1: W = 1 keeps the last block only
+    assert snapshot_for_chain(addresses(5), chain).recents == {3: 3, 4: 4}
+    # N = 1: W = 1 keeps nothing; a lone sealer may always sign
     for last in (1, 2, 3):
         chain = [header_for(n, 0, 1) for n in range(1, last + 1)]
-        assert snapshot_for_chain(addresses(1), chain).recents == {last: 0}
-    # genesis never enters the window
+        assert snapshot_for_chain(addresses(1), chain).recents == {}
+    # chains shorter than W - 1 keep every block; genesis never enters
     assert snapshot_for_chain(addresses(5), [make_genesis()]).recents == {}
     chain = [make_genesis(), header_for(1, 1, 1)]
     assert snapshot_for_chain(addresses(5), chain).recents == {1: 1}
+    chain = [make_genesis(), header_for(1, 1, 1), header_for(2, 4, 1)]
+    assert snapshot_for_chain(addresses(9), chain).recents == {1: 1, 2: 4}
 
 
 def test_signed_recently_matches_brute_force_scan():

@@ -1,8 +1,8 @@
 """Whole-run properties: node state at the end of a run, and work per event.
 
-The node keeps its canonical tx set, mempool, sealer snapshot and head up
-to date incrementally as blocks arrive. The invariant test rebuilds each of
-them from the node's chain store after the run and compares, and checks
+The node keeps its tx ledger, its head and the sealer snapshot at that head
+up to date incrementally as blocks arrive. The invariant test rebuilds each
+of them from the node's chain store after the run and compares, and checks
 every entry of the run's snapshot memo that node could read against a
 rebuild from the node's own store. The work tests count the headers the
 chain store's walks hand back, which must grow with the number of
@@ -64,10 +64,9 @@ def test_end_of_run_node_invariants(config):
     for node in sim.nodes:
         chain = node.store.canonical_chain(node.head)
         assert node.head == brute_force_head(node.store)
-        assert node.canonical_ids == {tx for header in chain for tx in header.tx_ids}
-        assert node.canonical_ids.isdisjoint(node.mempool.pending)
-        assert node.snapshot.recents == snapshot_for_chain(sim.sealers, chain).recents
-        assert node.snapshot is sim.snapshots[node.head]
+        assert node.mempool.canonical == {tx for header in chain for tx in header.tx_ids}
+        assert node.mempool.canonical.isdisjoint(node.mempool.pending)
+        assert sim.snapshots[node.head].recents == snapshot_for_chain(sim.sealers, chain).recents
         for h in iter_hashes(node.store):
             if h in sim.snapshots:
                 rebuilt = snapshot_for_chain(sim.sealers, node.store.canonical_chain(h))

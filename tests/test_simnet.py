@@ -12,12 +12,13 @@ from cliquesim import (
     Simulation,
     VULNERABLE,
     build_simulation,
+    parse_scenario,
     run_scenario,
     ScenarioConfig,
 )
 from cliquesim.simnet import BlockArrival, RunEnd, SealFire, TxBatch
 
-from conftest import short_preset
+from conftest import in_flight, short_preset
 
 
 def make_sim(n=5, flags=FIXED, delay=(0, 0), seed=0, policies=None):
@@ -186,6 +187,37 @@ def test_nonconvergence_detected_at_drain():
         sim.run_until(0)
 
 
+FORK_DEADLOCK_SCENARIO = """\
+n_sealers = 5
+verify = fixed
+seed = 1
+delay_min_ms = 0
+duration_ms = 300000
+
+[sealer 1]
+policy = malicious
+forced_difficulty = 9
+
+[sealer 3]
+policy = malicious
+"""
+
+
+def test_nonconvergence_on_a_clique_fork_deadlock():
+    """A protocol outcome, not a simulator bug, also raises at drain.
+
+    Nodes 2 and 4 both seal height 40 out of turn at equal weight. On each
+    branch every honest sealer is then inside the recently-signed window,
+    so neither branch grows and the network ends split at height 40.
+    """
+    config = parse_scenario(FORK_DEADLOCK_SCENARIO)
+    sim = build_simulation(config)
+    with pytest.raises(NonConvergenceError):
+        sim.run_until(config.duration_ms)
+    heads = {node.head: node.store.header(node.head) for node in sim.nodes}
+    assert sorted((h.number, h.sealer_index) for h in heads.values()) == [(40, 2), (40, 4)]
+
+
 # -- whole runs --------------------------------------------------------------------
 
 def test_honest_minute_produces_expected_height():
@@ -250,16 +282,37 @@ def test_tx_conservation_per_node_honest():
     sim = build_simulation(short_preset("honest", 120_000))
     sim.run_until(120_000)
     for node in sim.nodes:
-        pending = set(node.mempool.pending)
-        assert not pending & node.canonical_ids
-        assert pending | node.canonical_ids == set(sim.tx_created)
+        pending, canonical = node.mempool.pending, node.mempool.canonical
+        assert not pending & canonical
+        assert pending | canonical == set(range(sim.txs_generated))
 
 
 def test_tx_conservation_per_node_attack():
     sim = build_simulation(short_preset("attack", 120_000))
     sim.run_until(120_000)
     for node in sim.nodes:
-        pending = set(node.mempool.pending)
-        in_flight = {tx for ids in node.own_packed.values() for tx in ids}
-        assert not pending & node.canonical_ids
-        assert pending | node.canonical_ids | in_flight == set(sim.tx_created)
+        pending, canonical = node.mempool.pending, node.mempool.canonical
+        assert not pending & canonical
+        assert pending | canonical | in_flight(sim, node) == set(range(sim.txs_generated))
+
+
+@pytest.mark.parametrize("preset", ["honest", "attack", "fixed"])
+def test_tx_conservation_after_every_event(preset):
+    """No tx is lost or doubled at any node at any instant, not only at the end.
+
+    A rejected own block must hand its txs back at once: honest sealers
+    would include the dropped ids later, so an end-of-run check misses it.
+    """
+    sim = build_simulation(short_preset(preset, 120_000))
+    dispatch = sim._dispatch
+
+    def checked(payload):
+        dispatch(payload)
+        generated = set(range(sim.txs_generated))
+        for node in sim.nodes:
+            pending, canonical = node.mempool.pending, node.mempool.canonical
+            assert pending.isdisjoint(canonical), f"node {node.index} at {sim.now} ms"
+            assert pending | canonical | in_flight(sim, node) == generated, f"node {node.index} at {sim.now} ms"
+
+    sim._dispatch = checked
+    sim.run_until(120_000)

@@ -56,29 +56,33 @@ def test_stream_rejects_zero_rate():
 def test_pack_everything_fifo():
     pool = Mempool()
     pool.add([2, 0, 1])
-    assert pool.pack_block(set()) == (0, 1, 2)
+    assert pool.pack_block() == (0, 1, 2)
     assert pool.pending == set()
 
 
 def test_pack_respects_cap():
     pool = filled(50)
-    packed = pool.pack_block(set(), cap=10)
+    packed = pool.pack_block(cap=10)
     assert packed == tuple(range(10))
     assert len(pool.pending) == 40
 
 
 def test_pack_empty_mempool():
-    assert Mempool().pack_block(set()) == ()
+    assert Mempool().pack_block() == ()
 
 
 def test_pack_skips_canonical():
+    # a rejected own block hands back ids a peer's block has made canonical since
     pool = filled(5)
-    assert pool.pack_block({0, 3}) == (1, 2, 4)
+    packed = pool.pack_block()
+    pool.on_canonical_update([], [blk(1, [0, 3], sealer=2)])
+    pool.restore(packed)
+    assert pool.pack_block() == (1, 2, 4)
 
 
 def test_restore_reinstates_packed_txs():
     pool = filled(3)
-    packed = pool.pack_block(set())
+    packed = pool.pack_block()
     pool.restore(packed)
     assert sorted(pool.pending) == [0, 1, 2]
 
@@ -101,6 +105,7 @@ def test_canonical_update_same_txs_both_sides():
     new = [genesis, blk(1, [0, 1], sealer=2)]
     pool.on_canonical_update(old, new)
     assert pool.pending == set()
+    assert pool.canonical == {0, 1}
 
 
 def test_canonical_update_abandoned_block_repends_txs():
@@ -131,23 +136,25 @@ def test_canonical_update_partial_overlap():
     new = [genesis, blk(1, [2, 3], sealer=2), blk(2, [4], sealer=3)]
     pool.on_canonical_update(old, new)
     assert sorted(pool.pending) == [0, 1]
+    assert pool.canonical == {2, 3, 4}
 
 
 # -- reference model ------------------------------------------------------------
 
 class ReferenceMempool:
-    """The dict-based mempool: tx id -> created_ms, FIFO by (created_ms, id)."""
+    """The dict-based mempool, tx id -> created_ms, FIFO by (created_ms, id), and its canonical set."""
 
     def __init__(self):
         self.pending = {}
+        self.canonical = set()
 
     def add(self, stamped):
         for tx_id, created_ms in stamped:
             self.pending.setdefault(tx_id, created_ms)
 
-    def pack_block(self, canonical_ids, cap=None):
+    def pack_block(self, cap=None):
         order = sorted(
-            (tx_id for tx_id in self.pending if tx_id not in canonical_ids),
+            (tx_id for tx_id in self.pending if tx_id not in self.canonical),
             key=lambda tx_id: (self.pending[tx_id], tx_id),
         )
         if cap is not None:
@@ -167,6 +174,7 @@ class ReferenceMempool:
             self.pending.setdefault(tx_id, created[tx_id])
         for tx_id in adopted_ids:
             self.pending.pop(tx_id, None)
+        self.canonical = (self.canonical - abandoned_ids) | adopted_ids
 
 
 def random_branches(rng, ids):
@@ -202,10 +210,9 @@ def test_mempool_matches_dict_reference_model(seed):
             pool.add(txs)
             reference.add(stamped)
         elif op == "pack":
-            canonical = set(rng.sample(ids, rng.randrange(len(ids) + 1)))
             cap = rng.choice((None, 0, 1, 2, 3, 5))
-            packed = pool.pack_block(canonical, cap)
-            assert packed == reference.pack_block(canonical, cap)
+            packed = pool.pack_block(cap)
+            assert packed == reference.pack_block(cap)
             packed_blocks.append(packed)
         elif op == "restore":
             if not packed_blocks:
@@ -218,3 +225,4 @@ def test_mempool_matches_dict_reference_model(seed):
             pool.on_canonical_update(abandoned, adopted)
             reference.on_canonical_update(abandoned, adopted, created)
         assert set(pool.pending) == set(reference.pending)
+        assert pool.canonical == reference.canonical
