@@ -198,18 +198,7 @@ class ChainStore:
 
     def canonical_chain(self, head: bytes) -> list[BlockHeader]:
         """Headers from genesis to ``head``, ascending by number."""
-        if head not in self._blocks:
-            raise UnknownBlockError(head.hex())
-        chain: list[BlockHeader] = []
-        cursor = head
-        while True:
-            header = self._blocks[cursor].header
-            chain.append(header)
-            if header.is_genesis():
-                break
-            cursor = header.parent
-        chain.reverse()
-        return chain
+        return self.chain_tail(head, self.header(head).number + 1)
 
     def chain_tail(self, head: bytes, depth: int) -> list[BlockHeader]:
         """The last ``depth`` headers of ``canonical_chain(head)``, ascending."""

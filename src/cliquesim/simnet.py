@@ -1,13 +1,17 @@
 """Deterministic discrete-event simulation of a sealer network.
 
-A single priority queue orders every event by ``(time, rank, seq)``;
-``seq`` is assigned at scheduling, so two runs with the same seed replay
-the exact same event sequence. One shared seeded generator is consumed in
-event order, which makes determinism a consequence of the total event
-order. The rank puts deliveries ahead of seal timers at equal timestamps:
-a node always sees everything the network has already handed it before it
-signs, so a round leader whose slot was frontrun cancels instead of
-racing its own stale plan.
+A single priority queue holds ``(time, rank, seq, action, arg)`` entries
+and runs each as ``action(arg)``: ``Node.deliver`` with an arriving
+header, ``Node._release`` with a buffered one, ``Node.seal`` with the plan
+its timer was set for, or ``Simulation._add_txs`` with a tx batch. ``seq``
+is assigned at scheduling, so entries never tie and two runs with the same
+seed replay the exact same event sequence. One shared seeded generator is
+consumed in event order, which makes determinism a consequence of the
+total event order. The caller of ``schedule`` names the rank: at equal
+timestamps every ``DELIVERY`` (blocks and tx batches) runs before every
+``SEAL`` timer, so a node always sees everything the network has already
+handed it before it signs, and a round leader whose slot was frontrun
+cancels instead of racing its own stale plan.
 
 Network model: full-mesh broadcast among N sealer nodes with independent
 uniform per-link delays and no message loss (partial synchrony: everything
@@ -19,10 +23,10 @@ snapshot at it.
 
 Timestamps vs. firing: a header carries the protocol-claimed time
 (parent + interval). Honest sealers only fire at or after the claim, but
-the zero-delay attacker broadcasts immediately, so receivers hold any
-block whose claim is still in the future and import it the instant its
-claim time arrives. That buffered import is what lets a frontrunning block
-beat the round leader's freshly sealed one at every peer.
+the zero-delay attacker broadcasts immediately, so a receiver buffers any
+block whose claim is still in the future and schedules its release for the
+claim time, as a delivery. That buffered import is what lets a frontrunning
+block beat the round leader's freshly sealed one at every peer.
 """
 
 from __future__ import annotations
@@ -30,15 +34,10 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from . import strategies
-from .chain import (
-    BlockHeader,
-    ChainStore,
-    DuplicateBlockError,
-    hash_header,
-    make_genesis,
-)
+from .chain import BlockHeader, ChainStore, hash_header, make_genesis
 from .engine import (
     ProposalContext,
     SealerSnapshot,
@@ -50,6 +49,10 @@ from .engine import (
 )
 from .strategies import ProposalPlan, SealerPolicy
 from .workload import Mempool
+
+# Event ranks: at equal timestamps a lower rank runs first.
+DELIVERY = 0  # block arrivals, buffered-block releases and tx batches
+SEAL = 1  # seal timers
 
 
 class NonConvergenceError(Exception):
@@ -70,28 +73,6 @@ class DelayModel:
     def __post_init__(self) -> None:
         if not 0 <= self.min_ms <= self.max_ms:
             raise ValueError("need 0 <= min_ms <= max_ms")
-
-
-@dataclass(frozen=True)
-class BlockArrival:
-    node: int
-    header: BlockHeader
-
-
-@dataclass(frozen=True)
-class SealFire:
-    node: int
-    epoch: int
-
-
-@dataclass(frozen=True)
-class TxBatch:
-    txs: range
-
-
-@dataclass(frozen=True)
-class RunEnd:
-    pass
 
 
 @dataclass
@@ -134,7 +115,6 @@ class Node:
         self.head = self.store.genesis
         self.mempool = Mempool()
         self.pending: ProposalPlan | None = None
-        self.plan_epoch = 0
         # Blocks whose parent we have not seen yet, keyed by that parent.
         self.orphans: dict[bytes, list[BlockHeader]] = {}
         # Blocks whose claimed time is still in the future.
@@ -148,32 +128,32 @@ class Node:
     # -- delivery ----------------------------------------------------------
 
     def deliver(self, header: BlockHeader) -> None:
-        """Entry point for every block delivery, network or self.
+        """Entry point for every block arrival, network or self.
 
-        A buffered block re-enters here when its claimed time arrives;
-        that re-entry is not a new arrival.
+        Every call counts as an arrival; a block this node has seen before
+        is counted as a duplicate and dropped.
         """
         block_hash = hash_header(header)
-        if block_hash in self.future_pending:
-            if header.sim_time_ms <= self.sim.now:
-                self.future_pending.discard(block_hash)
-                self._admit(header, block_hash)
-            else:
-                self.arrivals += 1
-                self.duplicates += 1
-            return
+        self.arrivals += 1
         if block_hash in self.seen:
-            self.arrivals += 1
             self.duplicates += 1
             return
         self.seen.add(block_hash)
-        self.arrivals += 1
+        self._admit(header, block_hash)
+
+    def _release(self, header: BlockHeader) -> None:
+        """Import a block buffered by ``_admit`` once its claimed time has come.
+
+        The block already counted as an arrival when it was delivered.
+        """
+        block_hash = hash_header(header)
+        self.future_pending.discard(block_hash)
         self._admit(header, block_hash)
 
     def _admit(self, header: BlockHeader, block_hash: bytes) -> None:
         if header.sim_time_ms > self.sim.now:
             self.future_pending.add(block_hash)
-            self.sim.schedule(header.sim_time_ms, BlockArrival(self.index, header))
+            self.sim.schedule(header.sim_time_ms, DELIVERY, self._release, header)
             return
         if header.parent not in self.store:
             self.orphans.setdefault(header.parent, []).append(header)
@@ -185,11 +165,7 @@ class Node:
             if header.sealer_index == self.index:
                 self.mempool.restore(header.tx_ids)
             return
-        try:
-            self.store.extend(header)
-        except DuplicateBlockError:  # pragma: no cover - guarded by `seen`
-            self.duplicates += 1
-            return
+        self.store.extend(header)
         self.accepted += 1
         new_head = self.store.select_head()
         if new_head != self.head:
@@ -235,14 +211,17 @@ class Node:
         if plan is self.pending:
             return
         self.pending = plan
-        self.plan_epoch += 1
         if plan.eligible:
-            self.sim.schedule(plan.fire_at_ms, SealFire(self.index, self.plan_epoch))
+            self.sim.schedule(plan.fire_at_ms, SEAL, self.seal, plan)
 
-    def seal(self, epoch: int) -> None:
-        if self.pending is None or epoch != self.plan_epoch:
-            return  # preempted by a newer head
-        plan = self.pending
+    def seal(self, plan: ProposalPlan) -> None:
+        """Seal and broadcast ``plan`` when its timer fires.
+
+        Does nothing if a newer head has replaced the plan, or if the timer
+        fires after sealing stopped at ``t_end``.
+        """
+        if plan is not self.pending or self.sim.now > self.sim.t_end:
+            return
         self.pending = None
         tx_ids = self.mempool.pack_block(self.sim.tx_cap)
         header = BlockHeader(
@@ -294,8 +273,7 @@ class Simulation:
         self.tx_cap = tx_cap
         self.now = 0
         self.t_end = 0
-        self.running = True
-        self._queue: list[tuple[int, int, int, object]] = []
+        self._queue: list[tuple[int, int, int, Callable[[Any], None], Any]] = []
         self._next_seq = 0
         self.tallies = [SealerTally() for _ in sealers]
         self.txs_generated = 0
@@ -307,16 +285,11 @@ class Simulation:
 
     # -- scheduling --------------------------------------------------------
 
-    def schedule(self, at_ms: int, payload: object) -> None:
+    def schedule(self, at_ms: int, rank: int, action: Callable[[Any], None], arg: Any) -> None:
+        """Run ``action(arg)`` at ``at_ms``, after same-time events of lower rank."""
         if at_ms < self.now:
             raise ValueError(f"event scheduled in the past: {at_ms} < {self.now}")
-        if isinstance(payload, (BlockArrival, TxBatch)):
-            rank = 0
-        elif isinstance(payload, SealFire):
-            rank = 1
-        else:
-            rank = 2
-        heapq.heappush(self._queue, (at_ms, rank, self._next_seq, payload))
+        heapq.heappush(self._queue, (at_ms, rank, self._next_seq, action, arg))
         self._next_seq += 1
 
     def broadcast(self, from_node: int, header: BlockHeader) -> None:
@@ -329,11 +302,19 @@ class Simulation:
             if peer.index == from_node:
                 continue
             delay = self.rng.randint(self.delay_model.min_ms, self.delay_model.max_ms)
-            self.schedule(self.now + delay, BlockArrival(peer.index, header))
+            self.schedule(self.now + delay, DELIVERY, peer.deliver, header)
 
     def schedule_tx_batches(self, batches: list[tuple[int, range]]) -> None:
         for at_ms, txs in batches:
-            self.schedule(at_ms, TxBatch(txs))
+            self.schedule(at_ms, DELIVERY, self._add_txs, txs)
+
+    def _add_txs(self, txs: range) -> None:
+        # One tuple for all: every node's ledger then holds the same int
+        # objects rather than one copy each.
+        batch = tuple(txs)
+        self.txs_generated += len(batch)
+        for node in self.nodes:
+            node.mempool.add(batch)
 
     def start(self) -> None:
         """Install the first proposal plans (genesis is already everyone's head)."""
@@ -347,15 +328,15 @@ class Simulation:
 
         Sealing stops at ``t_end_ms``; deliveries continue for a drain of
         twice the maximum link delay so in-flight blocks land before the
-        report is built from node 0's canonical chain.
+        report is built from node 0's canonical chain. Events due at the
+        drain's end still run; later ones stay queued.
         """
         self.t_end = t_end_ms
         drain_end = t_end_ms + 2 * self.delay_model.max_ms
-        self.schedule(drain_end, RunEnd())
-        while self._queue and self.running:
-            at_ms, _, _, payload = heapq.heappop(self._queue)
-            self.now = at_ms
-            self._dispatch(payload)
+        queue = self._queue
+        while queue and queue[0][0] <= drain_end:
+            self.now, _, _, action, arg = heapq.heappop(queue)
+            action(arg)
         self._check_agreement()
         return SimResult(
             canonical=self.nodes[0].store.canonical_chain(self.nodes[0].head),
@@ -364,24 +345,6 @@ class Simulation:
             node_counters=[node.counters() for node in self.nodes],
             txs_generated=self.txs_generated,
         )
-
-    def _dispatch(self, payload: object) -> None:
-        if isinstance(payload, BlockArrival):
-            self.nodes[payload.node].deliver(payload.header)
-        elif isinstance(payload, SealFire):
-            if self.now <= self.t_end:
-                self.nodes[payload.node].seal(payload.epoch)
-        elif isinstance(payload, TxBatch):
-            # One tuple for all: every node's ledger then holds the same int
-            # objects rather than one copy each.
-            txs = tuple(payload.txs)
-            self.txs_generated += len(txs)
-            for node in self.nodes:
-                node.mempool.add(txs)
-        elif isinstance(payload, RunEnd):
-            self.running = False
-        else:  # pragma: no cover
-            raise TypeError(f"unknown event payload: {payload!r}")
 
     def _check_agreement(self) -> None:
         heads_by_flags: dict[VerifyFlags, set[bytes]] = {}

@@ -8,7 +8,6 @@ from cliquesim import (
     make_genesis,
     preset_config,
 )
-from cliquesim.simnet import BlockArrival
 
 
 @pytest.fixture
@@ -83,16 +82,14 @@ def children(store: ChainStore, block_hash: bytes) -> list[bytes]:
 
 
 def in_flight(sim, node) -> set[int]:
-    """Tx ids of ``node``'s own blocks still queued to itself as a ``BlockArrival``.
+    """Tx ids of ``node``'s own blocks still queued for release at ``node``.
 
     A zero-delay sealer's block is buffered at its own node until its claim
     time; until then its tx ids are neither pending nor canonical there.
     """
     return {
         tx
-        for _, _, _, payload in sim._queue
-        if isinstance(payload, BlockArrival)
-        and payload.node == node.index
-        and payload.header.sealer_index == node.index
-        for tx in payload.header.tx_ids
+        for _, _, _, action, header in sim._queue
+        if action == node._release and header.sealer_index == node.index
+        for tx in header.tx_ids
     }

@@ -11,13 +11,18 @@ determinism check would pass it.
 of its report. Those scenarios cover what the presets do not: attackers
 that keep some honest constraints (wiggle delay, recents window, rotation
 difficulty), zero and invalid forced difficulties under ``verify =
-custom``, zero link delay, N = 7 and 9, ``tx_cap`` and per-sealer verifier
-overrides. They were produced by the simulator before the sealer policy
-was reduced to its three deviation fields. The wide-committee scenarios
-(N = 21 under both verifiers and N = 41 under the hardened one, each with
-sealer 2 frontrunning) were produced before the nodes of a run came to
-share one sealer snapshot per block; a wide committee has the deepest
-recently-signed window.
+custom``, a zero minimum link delay, N = 7 and 9, ``tx_cap`` and
+per-sealer verifier overrides. They were produced by the simulator before
+the sealer policy was reduced to its three deviation fields. The
+wide-committee scenarios (N = 21 under both verifiers and N = 41 under the
+hardened one, each with sealer 2 frontrunning) were produced before the
+nodes of a run came to share one sealer snapshot per block; a wide
+committee has the deepest recently-signed window. The ``zero-delay-*``
+scenarios set both link delay bounds to 0, so the drain window after
+``duration_ms`` is empty and the last seal timers and deliveries all fall
+on its closing instant; in the two with sealer 2 frontrunning, every node
+still holds one future-dated block when the run ends. They were produced
+before the event queue came to hold handlers instead of payload types.
 
 The block log and the report count each block's txs but do not list
 them. ``golden/heads.json`` therefore pins node 0's final head hash, which

@@ -16,7 +16,7 @@ from cliquesim import (
     run_scenario,
     ScenarioConfig,
 )
-from cliquesim.simnet import BlockArrival, RunEnd, SealFire, TxBatch
+from cliquesim.simnet import DELIVERY, SEAL, Node
 
 from conftest import in_flight, short_preset
 
@@ -49,30 +49,42 @@ def sealed_by(sim, number, sealer_index, difficulty, parent=None, time_ms=None):
 
 def test_same_time_events_pop_in_insertion_order():
     sim = make_sim()
-    first = TxBatch(())
-    second = TxBatch(())
-    sim.schedule(5, first)
-    sim.schedule(5, second)
-    assert heapq.heappop(sim._queue)[3] is first
-    assert heapq.heappop(sim._queue)[3] is second
+    first = range(1)
+    second = range(2)
+    sim.schedule(5, DELIVERY, sim._add_txs, first)
+    sim.schedule(5, DELIVERY, sim._add_txs, second)
+    assert heapq.heappop(sim._queue)[4] is first
+    assert heapq.heappop(sim._queue)[4] is second
 
 
 def test_scheduling_in_the_past_is_an_error():
     sim = make_sim()
     sim.now = 10
     with pytest.raises(ValueError):
-        sim.schedule(5, TxBatch(()))
+        sim.schedule(5, DELIVERY, sim._add_txs, range(0))
 
 
 def test_deliveries_pop_before_seal_timers_at_equal_time():
     sim = make_sim()
-    sim.schedule(7, SealFire(0, 1))
-    arrival = BlockArrival(0, sealed_by(sim, 1, 1, 2))
-    sim.schedule(7, arrival)
-    assert heapq.heappop(sim._queue)[3] is arrival
-    sim.schedule(7, RunEnd())
-    assert isinstance(heapq.heappop(sim._queue)[3], SealFire)
-    assert isinstance(heapq.heappop(sim._queue)[3], RunEnd)
+    node = sim.nodes[0]
+    plan = object()
+    sim.schedule(7, SEAL, node.seal, plan)
+    header = sealed_by(sim, 1, 1, 2)
+    sim.schedule(7, DELIVERY, node.deliver, header)
+    sim.schedule(7, DELIVERY, sim._add_txs, range(3))
+    assert heapq.heappop(sim._queue)[3:] == (node.deliver, header)
+    assert heapq.heappop(sim._queue)[3] == sim._add_txs
+    assert heapq.heappop(sim._queue)[3:] == (node.seal, plan)
+
+
+def test_run_stops_after_the_events_due_at_drain_end():
+    sim = make_sim(delay=(0, 10))
+    drain_end = 1000 + 2 * 10
+    sim.schedule(drain_end + 1, DELIVERY, sim._add_txs, range(5))
+    sim.schedule(drain_end, SEAL, sim._add_txs, range(3))  # the last rank still runs
+    sim.run_until(1000)
+    assert sim.txs_generated == 3
+    assert [at for at, *_ in sim._queue] == [drain_end + 1]
 
 
 # -- broadcast -----------------------------------------------------------------
@@ -83,8 +95,8 @@ def test_broadcast_degenerate_delays_hit_every_peer_now():
     sim.broadcast(2, sealed_by(sim, 1, 2, 2))
     events = sorted(sim._queue)
     assert len(events) == 4
-    assert all(at == 100 for at, _, _, _ in events)
-    assert sorted(ev.node for _, _, _, ev in events) == [0, 1, 3, 4]
+    assert all(at == 100 for at, _, _, _, _ in events)
+    assert [action for _, _, _, action, _ in events] == [sim.nodes[i].deliver for i in (0, 1, 3, 4)]
 
 
 def test_broadcast_single_node_sends_nothing():
@@ -98,7 +110,7 @@ def test_broadcast_delays_stay_in_bounds():
     sim.now = 1000
     for _ in range(100):
         sim.broadcast(0, sealed_by(sim, 1, 1, 2))
-    delays = [at - 1000 for at, _, _, _ in sim._queue]
+    delays = [at - 1000 for at, _, _, _, _ in sim._queue]
     assert all(10 <= d <= 50 for d in delays)
     assert min(delays) <= 15 and max(delays) >= 45
 
@@ -173,6 +185,57 @@ def test_future_claimed_block_waits_for_its_timestamp():
     for node in sim.nodes:
         assert node.counters()["futures_pending"] == 0
         assert node.store.header(node.head) == header
+
+
+# -- seal timers ------------------------------------------------------------------
+
+def test_seal_timer_of_a_replaced_plan_seals_nothing():
+    sim = make_sim()
+    sim.start()
+    node = sim.nodes[0]
+    stale = node.pending
+    sim.now = sim.t_end = 5000
+    node.deliver(sealed_by(sim, 1, 1, 2))  # moves the head, so node 0 replans
+    assert node.pending is not stale
+    head, queued = node.head, len(sim._queue)
+    node.seal(stale)
+    assert sim.tallies[0].attempts == 0
+    assert node.head == head
+    assert len(sim._queue) == queued
+
+
+def test_seal_timer_after_t_end_seals_nothing():
+    sim = make_sim()
+    sim.start()
+    node = sim.nodes[1]  # the leader for height 1
+    plan = node.pending
+    sim.now = plan.fire_at_ms
+    sim.t_end = plan.fire_at_ms - 1
+    node.seal(plan)
+    assert node.pending is plan
+    assert sim.tallies[1].attempts == 0
+    assert node.head == node.store.genesis
+
+
+def test_seal_timer_at_t_end_seals():
+    sim = make_sim()
+    sim.start()
+    node = sim.nodes[1]
+    plan = node.pending
+    sim.now = sim.t_end = plan.fire_at_ms
+    node.seal(plan)
+    assert sim.tallies[1].attempts == 1
+    assert node.store.header(node.head).number == 1
+
+
+def test_zero_delay_run_imports_the_block_sealed_at_t_end():
+    """With no link delay the drain window is empty; its closing instant still runs."""
+    sim = make_sim(delay=(0, 0))
+    sim.start()
+    sim.run_until(5000)  # the height-1 leader fires at exactly 5000
+    assert sim.tallies[1].attempts == 1
+    for node in sim.nodes:
+        assert node.store.header(node.head).number == 1
 
 
 def test_delay_model_validation():
@@ -297,22 +360,36 @@ def test_tx_conservation_per_node_attack():
 
 
 @pytest.mark.parametrize("preset", ["honest", "attack", "fixed"])
-def test_tx_conservation_after_every_event(preset):
+def test_tx_conservation_after_every_event(preset, monkeypatch):
     """No tx is lost or doubled at any node at any instant, not only at the end.
 
     A rejected own block must hand its txs back at once: honest sealers
     would include the dropped ids later, so an end-of-run check misses it.
+    Every event handler is wrapped, and the check runs when the outermost
+    call returns (``seal`` delivers the new block to its own node).
     """
+    sim = None
+    depth = checks = 0
+
+    def checked(handler):
+        def wrapper(self, arg):
+            nonlocal depth, checks
+            depth += 1
+            handler(self, arg)
+            depth -= 1
+            if depth:
+                return
+            checks += 1
+            generated = set(range(sim.txs_generated))
+            for node in sim.nodes:
+                pending, canonical = node.mempool.pending, node.mempool.canonical
+                assert pending.isdisjoint(canonical), f"node {node.index} at {sim.now} ms"
+                assert pending | canonical | in_flight(sim, node) == generated, f"node {node.index} at {sim.now} ms"
+
+        return wrapper
+
+    for owner, name in ((Node, "deliver"), (Node, "_release"), (Node, "seal"), (Simulation, "_add_txs")):
+        monkeypatch.setattr(owner, name, checked(getattr(owner, name)))
     sim = build_simulation(short_preset(preset, 120_000))
-    dispatch = sim._dispatch
-
-    def checked(payload):
-        dispatch(payload)
-        generated = set(range(sim.txs_generated))
-        for node in sim.nodes:
-            pending, canonical = node.mempool.pending, node.mempool.canonical
-            assert pending.isdisjoint(canonical), f"node {node.index} at {sim.now} ms"
-            assert pending | canonical | in_flight(sim, node) == generated, f"node {node.index} at {sim.now} ms"
-
-    sim._dispatch = checked
     sim.run_until(120_000)
+    assert checks == sim._next_seq - len(sim._queue)
