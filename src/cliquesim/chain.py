@@ -11,8 +11,11 @@ branches, so the work per block does not grow with the chain.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from operator import lt
 
 HASH_SIZE = 32
 
@@ -73,6 +76,34 @@ class BlockHeader:
             )
         )
         return hashlib.sha256(encoding.encode("ascii")).digest()
+
+    @cached_property
+    def tx_runs(self) -> tuple[tuple[int, int], ...]:
+        """``tx_ids`` as runs of consecutive ids (``id_runs``), split once per header object."""
+        return id_runs(self.tx_ids)
+
+
+def id_runs(ids: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The maximal runs of consecutive ids in ``ids``, as half-open ``(start, stop)`` pairs.
+
+    Raises ``ValueError`` unless ``ids`` is strictly ascending, as a packed
+    block's ids always are; that check is one pass in C. Within a run
+    ``ids[i] - i`` is constant, and it grows from one run to the next, so
+    the split is O(1) when the ids are consecutive and one binary search
+    per run otherwise.
+    """
+    if not all(map(lt, ids, islice(ids, 1, None))):
+        raise ValueError("tx ids must be strictly ascending")
+    n = len(ids)
+    if n and ids[-1] - ids[0] + 1 == n:
+        return ((ids[0], ids[-1] + 1),)
+    runs = []
+    i = 0
+    while i < n:
+        j = bisect_right(range(n), ids[i] - i, i, n, key=lambda k: ids[k] - k)
+        runs.append((ids[i], ids[j - 1] + 1))
+        i = j
+    return tuple(runs)
 
 
 def make_genesis(sim_time_ms: int = 0) -> BlockHeader:

@@ -309,12 +309,9 @@ class Simulation:
             self.schedule(at_ms, DELIVERY, self._add_txs, txs)
 
     def _add_txs(self, txs: range) -> None:
-        # One tuple for all: every node's ledger then holds the same int
-        # objects rather than one copy each.
-        batch = tuple(txs)
-        self.txs_generated += len(batch)
+        self.txs_generated += len(txs)
         for node in self.nodes:
-            node.mempool.add(batch)
+            node.mempool.add(txs)
 
     def start(self) -> None:
         """Install the first proposal plans (genesis is already everyone's head)."""

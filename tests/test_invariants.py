@@ -4,19 +4,24 @@ The node keeps its tx ledger, its head and the sealer snapshot at that head
 up to date incrementally as blocks arrive. The invariant test rebuilds each
 of them from the node's chain store after the run and compares, and checks
 every entry of the run's snapshot memo that node could read against a
-rebuild from the node's own store. The work tests count the headers the
-chain store's walks hand back, which must grow with the number of
-dispatched events, not with the length of the chain, and the snapshots
-built, which must be at most one per block whatever the committee size.
+rebuild from the node's own store; it also checks that every stored
+header's tx ids are strictly ascending, which the mempool's run splitting
+relies on. The work tests count the headers the chain store's walks hand
+back, which must grow with the number of dispatched events, not with the
+length of the chain; the snapshots built, which must be at most one per
+block whatever the committee size; and the bytes a pack allocates when
+``tx_cap`` binds, which must not grow with the pending pool.
 """
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
 import cliquesim.simnet
 from cliquesim import (
     ChainStore,
+    Mempool,
     build_simulation,
     parse_scenario,
     preset_config,
@@ -64,8 +69,11 @@ def test_end_of_run_node_invariants(config):
     for node in sim.nodes:
         chain = node.store.canonical_chain(node.head)
         assert node.head == brute_force_head(node.store)
-        assert node.mempool.canonical == {tx for header in chain for tx in header.tx_ids}
-        assert node.mempool.canonical.isdisjoint(node.mempool.pending)
+        for h in iter_hashes(node.store):
+            tx_ids = node.store.header(h).tx_ids
+            assert all(a < b for a, b in zip(tx_ids, tx_ids[1:])), "tx ids must be strictly ascending"
+        assert set(node.mempool.canonical) == {tx for header in chain for tx in header.tx_ids}
+        assert set(node.mempool.canonical).isdisjoint(node.mempool.pending)
         assert sim.snapshots[node.head].recents == snapshot_for_chain(sim.sealers, chain).recents
         for h in iter_hashes(node.store):
             if h in sim.snapshots:
@@ -123,3 +131,43 @@ def test_snapshot_built_once_per_block(monkeypatch, config):
     sim.run_until(config.duration_ms)
     blocks = {h for node in sim.nodes for h in iter_hashes(node.store)}
     assert calls <= len(blocks), f"{calls} snapshots built for {len(blocks)} distinct blocks"
+
+
+def _pack_bytes_per_block(monkeypatch, minutes):
+    """Mean peak bytes allocated inside node 0's ``Mempool.pack_block`` per packed block.
+
+    The run is ``fixed`` at 500 tx/s with ``tx_cap = 700``, so the cap
+    binds and every node's pending pool grows by about 1,800 ids per block.
+    Any id a pack copies into a new container costs at least a pointer, so
+    this deterministic byte count bounds the ids a pack touches. Only node
+    0 is traced, to keep the test fast.
+    """
+    config = dataclasses.replace(
+        preset_config("fixed"), seed=2, duration_ms=minutes * 60_000, tx_rate_per_s=500, tx_cap=700
+    )
+    sim = build_simulation(config)
+    traced = sim.nodes[0].mempool
+    peaks = []
+    pack = Mempool.pack_block
+
+    def measured(self, cap=None):
+        if self is not traced:
+            return pack(self, cap)
+        tracemalloc.start()
+        try:
+            return pack(self, cap)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Mempool, "pack_block", measured)
+        sim.run_until(config.duration_ms)
+    return sum(peaks) / len(peaks)
+
+
+def test_pack_work_per_block_does_not_grow_with_run_length(monkeypatch):
+    short = _pack_bytes_per_block(monkeypatch, 5)
+    for minutes in (10, 20):
+        long = _pack_bytes_per_block(monkeypatch, minutes)
+        assert long <= 1.25 * short, f"bytes per pack: {short:.0f} at 5 min, {long:.0f} at {minutes} min"

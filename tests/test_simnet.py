@@ -345,7 +345,7 @@ def test_tx_conservation_per_node_honest():
     sim = build_simulation(short_preset("honest", 120_000))
     sim.run_until(120_000)
     for node in sim.nodes:
-        pending, canonical = node.mempool.pending, node.mempool.canonical
+        pending, canonical = set(node.mempool.pending), set(node.mempool.canonical)
         assert not pending & canonical
         assert pending | canonical == set(range(sim.txs_generated))
 
@@ -354,7 +354,7 @@ def test_tx_conservation_per_node_attack():
     sim = build_simulation(short_preset("attack", 120_000))
     sim.run_until(120_000)
     for node in sim.nodes:
-        pending, canonical = node.mempool.pending, node.mempool.canonical
+        pending, canonical = set(node.mempool.pending), set(node.mempool.canonical)
         assert not pending & canonical
         assert pending | canonical | in_flight(sim, node) == set(range(sim.txs_generated))
 
@@ -382,7 +382,7 @@ def test_tx_conservation_after_every_event(preset, monkeypatch):
             checks += 1
             generated = set(range(sim.txs_generated))
             for node in sim.nodes:
-                pending, canonical = node.mempool.pending, node.mempool.canonical
+                pending, canonical = set(node.mempool.pending), set(node.mempool.canonical)
                 assert pending.isdisjoint(canonical), f"node {node.index} at {sim.now} ms"
                 assert pending | canonical | in_flight(sim, node) == generated, f"node {node.index} at {sim.now} ms"
 

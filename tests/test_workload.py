@@ -55,9 +55,9 @@ def test_stream_rejects_zero_rate():
 
 def test_pack_everything_fifo():
     pool = Mempool()
-    pool.add([2, 0, 1])
+    pool.add(range(3))
     assert pool.pack_block() == (0, 1, 2)
-    assert pool.pending == set()
+    assert set(pool.pending) == set()
 
 
 def test_pack_respects_cap():
@@ -104,8 +104,8 @@ def test_canonical_update_same_txs_both_sides():
     old = [genesis, blk(1, [0, 1], sealer=1)]
     new = [genesis, blk(1, [0, 1], sealer=2)]
     pool.on_canonical_update(old, new)
-    assert pool.pending == set()
-    assert pool.canonical == {0, 1}
+    assert set(pool.pending) == set()
+    assert set(pool.canonical) == {0, 1}
 
 
 def test_canonical_update_abandoned_block_repends_txs():
@@ -129,6 +129,13 @@ def test_canonical_update_drops_newly_adopted_from_pending():
     assert sorted(pool.pending) == [0, 3]
 
 
+def test_canonical_update_rejects_unsorted_header_ids():
+    # (0, 1, 1, 3) holds as many ids as it spans, so it would pass for 0..3
+    pool = filled(4)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        pool.on_canonical_update([], [blk(1, [0, 1, 1, 3])])
+
+
 def test_canonical_update_partial_overlap():
     pool = Mempool()
     genesis = make_genesis()
@@ -136,7 +143,7 @@ def test_canonical_update_partial_overlap():
     new = [genesis, blk(1, [2, 3], sealer=2), blk(2, [4], sealer=3)]
     pool.on_canonical_update(old, new)
     assert sorted(pool.pending) == [0, 1]
-    assert pool.canonical == {2, 3, 4}
+    assert set(pool.canonical) == {2, 3, 4}
 
 
 # -- reference model ------------------------------------------------------------
@@ -197,6 +204,7 @@ def test_mempool_matches_dict_reference_model(seed):
     pool, reference = Mempool(), ReferenceMempool()
     created: dict[int, int] = {}
     packed_blocks: list[tuple[int, ...]] = []
+    gapped = 0
     for _ in range(300):
         op = rng.choice(("add", "add", "pack", "pack", "restore", "update"))
         ids = sorted(created)
@@ -217,12 +225,19 @@ def test_mempool_matches_dict_reference_model(seed):
         elif op == "restore":
             if not packed_blocks:
                 continue
-            packed = packed_blocks.pop(rng.randrange(len(packed_blocks)))
+            # Restore one packed block, or two at once as one tuple, which
+            # then usually has gaps.
+            restored = set()
+            for _ in range(min(len(packed_blocks), rng.choice((1, 2)))):
+                restored.update(packed_blocks.pop(rng.randrange(len(packed_blocks))))
+            packed = tuple(sorted(restored))
+            gapped += bool(packed) and packed[-1] - packed[0] + 1 > len(packed)
             pool.restore(packed)
             reference.restore(packed, created)
         else:
             abandoned, adopted = random_branches(rng, ids)
             pool.on_canonical_update(abandoned, adopted)
             reference.on_canonical_update(abandoned, adopted, created)
-        assert set(pool.pending) == set(reference.pending)
-        assert pool.canonical == reference.canonical
+        assert set(pool.pending) == set(reference.pending) - reference.canonical
+        assert set(pool.canonical) == reference.canonical
+    assert gapped, "no restore handed back a non-contiguous tuple"
