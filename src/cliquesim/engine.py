@@ -2,17 +2,19 @@
 
 Leader selection, difficulty assignment, the wiggle delay for non-leader
 sealing, the recently-signed window, and the three-check verification
-pipeline. Every operation here is a pure function: snapshot in, verdict or
-new snapshot out. The per-check enable flags let a run model either the
-hardened verifier (all three checks) or the flawed variant that only
-bounds the difficulty value.
+pipeline. Every operation here is a pure function. A sealer snapshot is
+the sealer count plus the set of sealers that signed recently:
+``snapshot_for_chain`` applies the window to a chain's last headers once,
+and every later check is a membership test. The per-check enable flags let
+a run model either the hardened verifier (all three checks) or the flawed
+variant that only bounds the difficulty value.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chain import BlockHeader
 
@@ -48,59 +50,36 @@ def wiggle_delay(n_sealers: int, rng: random.Random) -> int:
 
 @dataclass(frozen=True)
 class SealerSnapshot:
-    """Ordered sealer set plus the trailing recently-signed window.
+    """Sealer count plus the sealers the recently-signed window bars.
 
-    ``recents`` maps block number -> sealer index for the most recent
-    canonical blocks; it is what makes a sealer temporarily ineligible
-    after signing.
-
-    A simulation builds one snapshot per block and shares it between all
-    nodes, so a snapshot, ``recents`` included, must not be mutated.
+    ``recent`` holds the indices of the sealers of the last W - 1 blocks up
+    to and including the snapshot's block (W = floor(N/2)+1). A sealer that
+    signed block ``s`` is in it at ``s .. s+W-2`` and so may not sign
+    ``s+1 .. s+W-1``; it is free again at ``s+W``. ``snapshot_for_chain``
+    is the one place that applies the window.
     """
 
-    sealers: tuple[str, ...]
-    recents: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.sealers:
-            raise ValueError("sealer set must be non-empty")
-        if len(set(self.sealers)) != len(self.sealers):
-            raise ValueError("sealer addresses must be unique")
-
-    @property
-    def size(self) -> int:
-        return len(self.sealers)
+    n_sealers: int
+    recent: frozenset[int] = frozenset()
 
 
-def signed_recently(snapshot: SealerSnapshot, sealer_index: int, next_number: int) -> bool:
-    """Whether ``sealer_index`` sealed within the window before ``next_number``.
-
-    A sealer that signed block ``s`` stays ineligible at heights
-    ``s+1 .. s+W-1`` and is free again at ``s+W`` (W = floor(N/2)+1), i.e.
-    the check scans numbers in the open interval (next_number - W, next_number).
-    """
-    window = recents_window(snapshot.size)
-    for number, sealer in snapshot.recents.items():
-        if sealer == sealer_index and next_number - window < number < next_number:
-            return True
-    return False
+def signed_recently(snapshot: SealerSnapshot, sealer_index: int) -> bool:
+    """Whether ``sealer_index`` may not sign the block after ``snapshot``'s."""
+    return sealer_index in snapshot.recent
 
 
-def snapshot_for_chain(
-    sealers: tuple[str, ...], headers: list[BlockHeader]
-) -> SealerSnapshot:
+def snapshot_for_chain(n_sealers: int, headers: list[BlockHeader]) -> SealerSnapshot:
     """Snapshot as of the last header of a canonical sequence (genesis first).
 
-    ``signed_recently`` reads the open interval (next - W, next), so only
-    the last W - 1 headers matter and a caller may pass just those.
+    Only the last W - 1 headers matter, so a caller may pass just those.
     """
-    kept = recents_window(len(sealers)) - 1
-    recents = {
-        header.number: header.sealer_index
+    kept = recents_window(n_sealers) - 1
+    recent = frozenset(
+        header.sealer_index
         for header in headers[max(len(headers) - kept, 0):]
         if not header.is_genesis()
-    }
-    return SealerSnapshot(sealers, recents)
+    )
+    return SealerSnapshot(n_sealers, recent)
 
 
 @dataclass(frozen=True)
@@ -143,13 +122,13 @@ def verify_header(
        round's leader.
     """
     if flags.check_recently_signed:
-        if signed_recently(snapshot, header.sealer_index, header.number):
+        if signed_recently(snapshot, header.sealer_index):
             return RejectReason.RECENTLY_SIGNED
     if flags.check_difficulty_domain:
         if header.difficulty not in (1, 2):
             return RejectReason.INVALID_DIFFICULTY
     if flags.check_inturn_identity:
-        in_turn = header.sealer_index == leader_index(header.number, snapshot.size)
+        in_turn = header.sealer_index == leader_index(header.number, snapshot.n_sealers)
         if (header.difficulty == 2) != in_turn:
             return RejectReason.WRONG_TURN_DIFFICULTY
     return None

@@ -174,7 +174,7 @@ class Node:
             self._admit(child, hash_header(child))
 
     def _snapshot_at(self, block_hash: bytes) -> SealerSnapshot:
-        """Snapshot of the recently-signed window on the branch ending at ``block_hash``.
+        """Snapshot of the recent signers on the branch ending at ``block_hash``.
 
         The run memoises one snapshot per block in ``Simulation.snapshots``,
         shared by all nodes: the hash fixes the whole branch, so whichever
@@ -183,9 +183,9 @@ class Node:
         """
         snapshot = self.sim.snapshots.get(block_hash)
         if snapshot is None:
-            depth = recents_window(len(self.sim.sealers)) - 1
-            snapshot = snapshot_for_chain(self.sim.sealers, self.store.chain_tail(block_hash, depth))
-            self.sim.snapshots[block_hash] = snapshot
+            n_sealers = len(self.sim.sealers)
+            tail = self.store.chain_tail(block_hash, recents_window(n_sealers) - 1)
+            snapshot = self.sim.snapshots[block_hash] = snapshot_for_chain(n_sealers, tail)
         return snapshot
 
     def _move_head(self, new_head: bytes) -> None:
@@ -264,6 +264,10 @@ class Simulation:
         seed: int,
         tx_cap: int | None = None,
     ):
+        if not sealers:
+            raise ValueError("sealer set must be non-empty")
+        if len(set(sealers)) != len(sealers):
+            raise ValueError("sealer addresses must be unique")
         if not (len(sealers) == len(policies) == len(flags)):
             raise ValueError("need one policy and one flag set per sealer")
         self.sealers = sealers

@@ -84,7 +84,7 @@ def plan_proposal(
     bypassing the recents window makes the plan eligible. The wiggle is
     drawn only for a waiting sealer that is not the round leader.
     """
-    n_sealers = ctx.snapshot.size
+    n_sealers = ctx.snapshot.n_sealers
     height = ctx.next_number
     claim = ctx.next_claim_ms
     if policy.forced_difficulty is not None:
@@ -97,7 +97,7 @@ def plan_proposal(
         fire_at = claim
     else:
         fire_at = claim + wiggle_delay(n_sealers, rng)
-    eligible = policy.bypass_recents or not signed_recently(ctx.snapshot, self_index, height)
+    eligible = policy.bypass_recents or not signed_recently(ctx.snapshot, self_index)
     return ProposalPlan(
         height=height,
         parent=ctx.parent_hash,

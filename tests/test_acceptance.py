@@ -196,25 +196,28 @@ def test_criterion_5_recents_window_oracle():
             )
             for seen, sealer in history
         ]
-        snapshot = snapshot_for_chain(addrs, chain)
         window = recents_window(n)
-        for _ in range(4):
-            probe = rng.randrange(n)
-            next_number = number + 1 + rng.randrange(window + 2)
-            brute = any(
-                sealer == probe and next_number - window < seen < next_number
-                for seen, sealer in history
-            )
-            if signed_recently(snapshot, probe, next_number) != brute:
-                mismatches += 1
-            cases += 1
+        # The snapshot at every prefix's last block, probed against a scan of
+        # the whole history for a seal in the window before the next block.
+        for last in range(len(chain) + 1):
+            snapshot = snapshot_for_chain(n, chain[:last])
+            next_number = last + 1
+            for _ in range(4):
+                probe = rng.randrange(n)
+                brute = any(
+                    sealer == probe and next_number - window < seen < next_number
+                    for seen, sealer in history
+                )
+                if signed_recently(snapshot, probe) != brute:
+                    mismatches += 1
+                cases += 1
     assert mismatches == 0
     print(f"PASS criterion 5b: recents window matches brute-force scan on {cases} cases")
 
 
 def test_criterion_5_difficulty_domain():
     rng = random.Random(808)
-    snapshot = SealerSnapshot(tuple(f"0x{i:040x}" for i in range(5)))
+    snapshot = SealerSnapshot(5)
     rejected = 0
     total = 1000
     for i in range(total):

@@ -20,10 +20,6 @@ from cliquesim import (
 )
 
 
-def addresses(n):
-    return tuple(f"0x{i:040x}" for i in range(n))
-
-
 def header_for(number, sealer_index, difficulty):
     return BlockHeader(
         number=number,
@@ -95,106 +91,111 @@ def test_wiggle_deterministic_per_seed():
 
 # -- recents window --------------------------------------------------------------
 
+def snapshot_after(sealers, n):
+    """Snapshot at the last block of a chain whose block k is sealed by ``sealers[k - 1]``."""
+    chain = [make_genesis()] + [
+        header_for(number, sealer, 1) for number, sealer in enumerate(sealers, start=1)
+    ]
+    return snapshot_for_chain(n, chain)
+
+
 def test_signed_recently_inside_window():
-    snap = SealerSnapshot(addresses(5), {10: 3})
-    assert signed_recently(snap, 3, 12) is True
+    # sealer 3 signs block 10; the snapshot at 11 governs block 12
+    assert signed_recently(snapshot_after([0] * 9 + [3, 0], 5), 3) is True
 
 
 def test_signed_recently_outside_window():
-    snap = SealerSnapshot(addresses(5), {10: 3})
-    assert signed_recently(snap, 3, 14) is False
+    # the snapshot at 13 governs block 14, past block 10's window
+    assert signed_recently(snapshot_after([0] * 9 + [3, 0, 0, 0], 5), 3) is False
 
 
 def test_signed_recently_free_again_at_window_width():
     # sealed at n: blocked for the next W-1 heights, free at n + W
-    snap = SealerSnapshot(addresses(5), {10: 3})
     window = recents_window(5)
     for k in range(1, window):
-        assert signed_recently(snap, 3, 10 + k) is True
-    assert signed_recently(snap, 3, 10 + window) is False
+        assert signed_recently(snapshot_after([0] * 9 + [3] + [0] * (k - 1), 5), 3) is True
+    assert signed_recently(snapshot_after([0] * 9 + [3] + [0] * (window - 1), 5), 3) is False
 
 
 def test_signed_recently_empty_recents():
-    snap = SealerSnapshot(addresses(5))
-    assert all(not signed_recently(snap, s, 9) for s in range(5))
+    snap = SealerSnapshot(5)
+    assert all(not signed_recently(snap, s) for s in range(5))
 
 
 def test_snapshot_for_chain_keeps_the_trailing_window():
     # N = 5: W = 3, and the next block (5) checks (2, 5), so of blocks
     # 1..4 only the last W - 1, 3 and 4, are kept
     chain = [make_genesis()] + [header_for(n, n % 5, 1) for n in (1, 2, 3, 4)]
-    assert snapshot_for_chain(addresses(5), chain).recents == {3: 3, 4: 4}
+    assert snapshot_for_chain(5, chain) == SealerSnapshot(5, frozenset({3, 4}))
     # N = 1: W = 1 keeps nothing; a lone sealer may always sign
     for last in (1, 2, 3):
         chain = [header_for(n, 0, 1) for n in range(1, last + 1)]
-        assert snapshot_for_chain(addresses(1), chain).recents == {}
+        assert snapshot_for_chain(1, chain).recent == frozenset()
     # chains shorter than W - 1 keep every block; genesis never enters
-    assert snapshot_for_chain(addresses(5), [make_genesis()]).recents == {}
+    assert snapshot_for_chain(5, [make_genesis()]).recent == frozenset()
     chain = [make_genesis(), header_for(1, 1, 1)]
-    assert snapshot_for_chain(addresses(5), chain).recents == {1: 1}
+    assert snapshot_for_chain(5, chain).recent == {1}
     chain = [make_genesis(), header_for(1, 1, 1), header_for(2, 4, 1)]
-    assert snapshot_for_chain(addresses(9), chain).recents == {1: 1, 2: 4}
+    assert snapshot_for_chain(9, chain).recent == {1, 4}
 
 
 def test_signed_recently_matches_brute_force_scan():
+    # Every prefix of each chain: the snapshot at its last block, probed
+    # for every sealer, against a scan of the whole history for a seal in
+    # the window before the next block. A seal W blocks back is free again.
     rng = random.Random(99)
     for _ in range(300):
         n = rng.randint(1, 21)
-        history = []
-        number = 0
-        for _ in range(rng.randrange(12)):
-            number += 1
-            sealer = rng.randrange(n)
-            history.append((number, sealer))
-        chain = [header_for(number, sealer, 1) for number, sealer in history]
-        snap = snapshot_for_chain(addresses(n), chain)
-        probe = rng.randrange(n)
-        next_number = number + 1 + rng.randrange(3)
-        assert signed_recently(snap, probe, next_number) == brute_signed_recently(
-            history, probe, next_number, n
-        )
+        history = [(number, rng.randrange(n)) for number in range(1, rng.randrange(12) + 1)]
+        chain = [make_genesis()] + [header_for(number, sealer, 1) for number, sealer in history]
+        for last in range(len(chain)):
+            snap = snapshot_for_chain(n, chain[: last + 1])
+            for probe in range(n):
+                assert signed_recently(snap, probe) == brute_signed_recently(
+                    history, probe, last + 1, n
+                )
 
 
 # -- verification ------------------------------------------------------------------
 
 def test_verify_rejects_invalid_difficulty_under_vulnerable():
-    snap = SealerSnapshot(addresses(5))
+    snap = SealerSnapshot(5)
     verdict = verify_header(header_for(6, 3, 9), snap, VULNERABLE)
     assert verdict is RejectReason.INVALID_DIFFICULTY
 
 
 def test_verify_rejects_wrong_turn_under_fixed():
-    snap = SealerSnapshot(addresses(5))
+    snap = SealerSnapshot(5)
     # leader for height 6 is sealer 1; sealer 3 claims difficulty 2 anyway
     verdict = verify_header(header_for(6, 3, 2), snap, FIXED)
     assert verdict is RejectReason.WRONG_TURN_DIFFICULTY
 
 
 def test_verify_accepts_wrong_turn_under_vulnerable():
-    snap = SealerSnapshot(addresses(5))
+    snap = SealerSnapshot(5)
     assert verify_header(header_for(6, 3, 2), snap, VULNERABLE) is None
 
 
 def test_verify_rejects_recently_signed_under_fixed():
-    snap = SealerSnapshot(addresses(5), {5: 1})
+    snap = SealerSnapshot(5, frozenset({1}))
     verdict = verify_header(header_for(6, 1, 2), snap, FIXED)
     assert verdict is RejectReason.RECENTLY_SIGNED
 
 
 def test_verify_leader_must_claim_difficulty_two():
-    snap = SealerSnapshot(addresses(5))
+    snap = SealerSnapshot(5)
     verdict = verify_header(header_for(6, 1, 1), snap, FIXED)
     assert verdict is RejectReason.WRONG_TURN_DIFFICULTY
 
 
 def test_verify_accepts_honest_leader_and_edge():
-    snap = SealerSnapshot(addresses(5))
+    snap = SealerSnapshot(5)
     assert verify_header(header_for(6, 1, 2), snap, FIXED) is None
     assert verify_header(header_for(6, 3, 1), snap, FIXED) is None
 
 
 def test_verify_is_pure():
-    snap = SealerSnapshot(addresses(5), {5: 1})
+    snap = SealerSnapshot(5, frozenset({1}))
     header = header_for(6, 1, 2)
     assert verify_header(header, snap, FIXED) == verify_header(header, snap, FIXED)
 
@@ -214,7 +215,7 @@ def test_disabling_checks_never_rejects_more():
         for _ in range(rng.randrange(6)):
             chain.append(header_for(number, rng.randrange(n), 1))
             number += 1
-        snap = snapshot_for_chain(addresses(n), chain)
+        snap = snapshot_for_chain(n, chain)
         header = header_for(number, rng.randrange(n), rng.choice((0, 1, 2, 9)))
         for strong in all_flag_sets:
             if verify_header(header, snap, strong) is not None:

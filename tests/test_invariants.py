@@ -74,11 +74,12 @@ def test_end_of_run_node_invariants(config):
             assert all(a < b for a, b in zip(tx_ids, tx_ids[1:])), "tx ids must be strictly ascending"
         assert set(node.mempool.canonical) == {tx for header in chain for tx in header.tx_ids}
         assert set(node.mempool.canonical).isdisjoint(node.mempool.pending)
-        assert sim.snapshots[node.head].recents == snapshot_for_chain(sim.sealers, chain).recents
+        n_sealers = len(sim.sealers)
+        assert sim.snapshots[node.head] == snapshot_for_chain(n_sealers, chain)
         for h in iter_hashes(node.store):
             if h in sim.snapshots:
-                rebuilt = snapshot_for_chain(sim.sealers, node.store.canonical_chain(h))
-                assert sim.snapshots[h].recents == rebuilt.recents
+                rebuilt = snapshot_for_chain(n_sealers, node.store.canonical_chain(h))
+                assert sim.snapshots[h] == rebuilt
 
 
 def _walked_per_event(monkeypatch, minutes):

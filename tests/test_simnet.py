@@ -243,6 +243,23 @@ def test_delay_model_validation():
         DelayModel(50, 10)
 
 
+@pytest.mark.parametrize(
+    "sealers,message",
+    [((), "non-empty"), (("0xaa", "0xbb", "0xaa"), "unique")],
+)
+def test_sealer_set_must_be_non_empty_and_unique(sealers, message):
+    n = len(sealers)
+    with pytest.raises(ValueError, match=message):
+        Simulation(
+            sealers=sealers,
+            policies=[SealerPolicy.honest()] * n,
+            flags=[FIXED] * n,
+            block_interval_ms=5000,
+            delay_model=DelayModel(0, 0),
+            seed=0,
+        )
+
+
 def test_nonconvergence_detected_at_drain():
     sim = make_sim(n=2)
     sim.nodes[0].deliver(sealed_by(sim, 1, 1, 2, time_ms=0))

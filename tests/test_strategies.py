@@ -12,14 +12,16 @@ from cliquesim import (
     SealerPolicy,
     SealerSnapshot,
     VULNERABLE,
+    make_genesis,
     on_new_head,
     plan_proposal,
+    snapshot_for_chain,
     verify_header,
 )
 
 
-def make_ctx(parent_number=0, now_ms=0, recents=None, n=5, parent_time=None):
-    snap = SealerSnapshot(tuple(f"0x{i:040x}" for i in range(n)), dict(recents or {}))
+def make_ctx(parent_number=0, now_ms=0, recent=(), n=5, parent_time=None):
+    snap = SealerSnapshot(n, frozenset(recent))
     return ProposalContext(
         parent_number=parent_number,
         parent_hash=b"\xaa" * 32,
@@ -63,7 +65,7 @@ def test_honest_non_leader_plan_has_wiggle():
 
 
 def test_honest_ineligible_when_recently_signed():
-    ctx = make_ctx(parent_number=10, recents={10: 3})
+    ctx = make_ctx(parent_number=10, recent={3})
     plan = plan_proposal(SealerPolicy.honest(), ctx, 3, random.Random(0))
     assert plan.eligible is False
 
@@ -78,7 +80,7 @@ def test_malicious_default_plan_fires_immediately():
 
 
 def test_malicious_bypasses_recents():
-    ctx = make_ctx(parent_number=10, recents={10: 3})
+    ctx = make_ctx(parent_number=10, recent={3})
     plan = plan_proposal(SealerPolicy.malicious(), ctx, 3, random.Random(0))
     assert plan.eligible is True
     honest = plan_proposal(
@@ -119,11 +121,8 @@ def test_honest_plans_pass_fixed_verification():
     for _ in range(300):
         n = rng.randint(1, 9)
         parent_number = rng.randrange(50)
-        recents = {}
-        for back in range(rng.randrange(3)):
-            recents[parent_number - back] = rng.randrange(n)
-        recents = {k: v for k, v in recents.items() if k > 0}
-        ctx = make_ctx(parent_number=parent_number, recents=recents, n=n)
+        recent = {rng.randrange(n) for _ in range(min(rng.randrange(3), parent_number))}
+        ctx = make_ctx(parent_number=parent_number, recent=recent, n=n)
         sealer = rng.randrange(n)
         plan = plan_proposal(SealerPolicy.honest(), ctx, sealer, rng)
         if not plan.eligible:
@@ -173,13 +172,15 @@ def test_plan_fire_never_in_the_past():
         assert plan.fire_at_ms >= now
 
 
-def reference_plan(policy, ctx, sealer, rng):
+def reference_plan(policy, ctx, sealer, rng, history):
     """Oracle: the honest plan, then each deviation overriding its own field.
 
-    Built from the Clique rules directly, not from the engine. The wiggle
-    is drawn only when the sealer waits and is not the round leader.
+    Built from the Clique rules directly, not from the engine: eligibility
+    scans ``history``, the ``(number, sealer)`` pairs of the parent's chain.
+    The wiggle is drawn only when the sealer waits and is not the round
+    leader.
     """
-    n = ctx.snapshot.size
+    n = ctx.snapshot.n_sealers
     height = ctx.next_number
     window = n // 2 + 1
     in_turn = sealer == height % n
@@ -191,7 +192,7 @@ def reference_plan(policy, ctx, sealer, rng):
         fire_at_ms=ctx.next_claim_ms,
         eligible=not any(
             signer == sealer and height - window < number < height
-            for number, signer in ctx.snapshot.recents.items()
+            for number, signer in history
         ),
     )
     if policy.forced_difficulty is not None:
@@ -219,24 +220,33 @@ def test_plan_matches_honest_plan_with_overrides(policy):
     for _ in range(300):
         n = rng.randint(1, 9)
         parent_number = rng.randrange(40)
-        recents = {
-            parent_number - back: rng.randrange(n)
-            for back in range(rng.randrange(n + 1))
-            if parent_number - back > 0
-        }
+        history = [(number, rng.randrange(n)) for number in range(1, parent_number + 1)]
+        chain = [make_genesis()] + [
+            BlockHeader(
+                number=number,
+                parent=b"\x00" * 32,
+                sealer_index=signer,
+                sealer_addr=f"0x{signer:040x}",
+                difficulty=1,
+                sim_time_ms=number * 5000,
+            )
+            for number, signer in history
+        ]
         parent_time = parent_number * 5000 + rng.randrange(3000)
-        ctx = make_ctx(
-            parent_number=parent_number,
-            now_ms=parent_time + rng.choice((0, rng.randrange(12_000))),
-            recents=recents,
-            n=n,
-            parent_time=parent_time,
+        ctx = dataclasses.replace(
+            make_ctx(
+                parent_number=parent_number,
+                now_ms=parent_time + rng.choice((0, rng.randrange(12_000))),
+                n=n,
+                parent_time=parent_time,
+            ),
+            snapshot=snapshot_for_chain(n, chain),
         )
         sealer = rng.randrange(n)
         seed = rng.randrange(2**32)
         actual_rng, expected_rng = random.Random(seed), random.Random(seed)
         actual = plan_proposal(policy, ctx, sealer, actual_rng)
-        assert actual == reference_plan(policy, ctx, sealer, expected_rng)
+        assert actual == reference_plan(policy, ctx, sealer, expected_rng, history)
         assert actual_rng.getstate() == expected_rng.getstate()
 
 
