@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .charts import emit_chart
 from .harness import (
+    SCENARIO_PRESETS,
     RunReport,
     ScenarioError,
     export_block_log,
@@ -46,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--chart", action="store_true", help="also emit an SVG chart")
 
     preset = sub.add_parser("preset", help="write a bundled scenario file")
-    preset.add_argument("name", choices=("honest", "attack", "fixed"))
+    preset.add_argument("name", choices=list(SCENARIO_PRESETS))
     preset.add_argument("--out", default=".", help="output directory (default: .)")
 
     sweep = sub.add_parser("sweep", help="rerun a scenario across a seed range")

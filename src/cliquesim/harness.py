@@ -110,17 +110,6 @@ class ScenarioConfig:
 
 # -- scenario file parsing ---------------------------------------------------
 
-_GLOBAL_INT_KEYS = {
-    "n_sealers",
-    "block_interval_ms",
-    "duration_ms",
-    "tx_rate_per_s",
-    "seed",
-    "delay_min_ms",
-    "delay_max_ms",
-    "tx_cap",
-}
-_CHECK_KEYS = {f.name for f in fields(VerifyFlags)}
 _SECTION_RE = re.compile(r"^\[\s*sealer\s+(\d+)\s*\]$")
 
 
@@ -138,6 +127,13 @@ def _parse_int(value: str, line: int) -> int:
         return int(value)
     except ValueError:
         raise ParseError(f"expected an integer, got {value!r}", line) from None
+
+
+# Value parser per field annotation, for the fields a scenario file sets directly.
+_PARSERS = {"int": _parse_int, "int | None": _parse_int, "bool": _parse_bool}
+_GLOBAL_KEYS = {f.name: _PARSERS[f.type] for f in fields(ScenarioConfig) if f.type in _PARSERS}
+_CHECK_KEYS = {f.name for f in fields(VerifyFlags)}
+_SEALER_KEYS = {f.name: _PARSERS[f.type] for f in fields(SealerPolicy)}
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -171,10 +167,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ParseError(f"duplicate key {key!r}", line_no)
         seen_keys.add(key)
         if current is None:
-            if key in _GLOBAL_INT_KEYS:
-                globals_[key] = _parse_int(value, line_no)
+            if key in _GLOBAL_KEYS:
+                globals_[key] = _GLOBAL_KEYS[key](value, line_no)
             elif key == "verify":
-                if value not in ("fixed", "vulnerable", "custom"):
+                if value not in PRESETS and value != "custom":
                     raise ParseError(f"unknown verify preset {value!r}", line_no)
                 preset = value
             elif key in _CHECK_KEYS:
@@ -186,12 +182,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 if value not in ("honest", "malicious"):
                     raise ParseError(f"unknown policy {value!r}", line_no)
                 parsed: object = value
-            elif key == "forced_difficulty":
-                parsed = _parse_int(value, line_no)
-            elif key in ("zero_delay", "bypass_recents"):
-                parsed = _parse_bool(value, line_no)
+            elif key in _SEALER_KEYS:
+                parsed = _SEALER_KEYS[key](value, line_no)
             elif key == "verify":
-                if value not in ("fixed", "vulnerable"):
+                if value not in PRESETS:
                     raise ParseError(f"unknown verify preset {value!r}", line_no)
                 parsed = value
             else:
@@ -226,7 +220,12 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"no scenario file at {path}", 0)
-    return parse_scenario(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8", line) from None
+    return parse_scenario(text)
 
 
 # -- presets -----------------------------------------------------------------
@@ -252,24 +251,19 @@ bypass_recents = true
 """
 
 
+# name -> (title, verify preset, whether sealer 2 frontruns)
+SCENARIO_PRESETS = {
+    "honest": ("all sealers honest, hardened verifier", "fixed", False),
+    "attack": ("sealer 2 frontruns, flawed verifier", "vulnerable", True),
+    "fixed": ("sealer 2 frontruns, hardened verifier", "fixed", True),
+}
+
+
 def preset_text(name: str) -> str:
-    if name == "honest":
-        return _PRESET_COMMON.format(title="all sealers honest, hardened verifier", verify="fixed")
-    if name == "attack":
-        return (
-            _PRESET_COMMON.format(
-                title="sealer 2 frontruns, flawed verifier", verify="vulnerable"
-            )
-            + _PRESET_ATTACKER
-        )
-    if name == "fixed":
-        return (
-            _PRESET_COMMON.format(
-                title="sealer 2 frontruns, hardened verifier", verify="fixed"
-            )
-            + _PRESET_ATTACKER
-        )
-    raise ValidationError(f"unknown preset {name!r}", "preset")
+    if name not in SCENARIO_PRESETS:
+        raise ValidationError(f"unknown preset {name!r}", "preset")
+    title, verify, attacker = SCENARIO_PRESETS[name]
+    return _PRESET_COMMON.format(title=title, verify=verify) + (_PRESET_ATTACKER if attacker else "")
 
 
 def preset_config(name: str) -> ScenarioConfig:

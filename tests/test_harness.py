@@ -322,6 +322,15 @@ def test_cli_directory_scenario_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_non_utf8_scenario_exits_2(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.scenario"
+    bad.write_bytes("n_sealers = 5\n# sealer caf\u00e9\n".encode("latin-1"))
+    args = ["--out", str(tmp_path)] if command == "run" else ["--seeds", "0..1"]
+    assert cli.main([command, str(bad), *args]) == 2
+    assert "line 2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+
+
 def test_cli_deviation_key_without_malicious_policy_exits_2(tmp_path, capsys):
     bad = tmp_path / "honest-override.scenario"
     bad.write_text("n_sealers = 5\n[sealer 2]\npolicy = honest\nbypass_recents = true\n")
