@@ -13,6 +13,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
+from math import inf
 from operator import sub
 
 from .chain import BlockHeader, id_runs
@@ -39,18 +40,18 @@ class IdRanges:
     The common updates are O(1): adding at or past the start of the last
     range, and removing from the front of the first range. Other updates
     binary-search the range bounds, and ``take`` walks only the ranges it
-    empties. Iteration yields the ids in ascending order.
+    empties. Iteration yields the ids in ascending order, and ``len``
+    sums the range lengths.
     """
 
-    __slots__ = ("_starts", "_stops", "_len")
+    __slots__ = ("_starts", "_stops")
 
     def __init__(self) -> None:
         self._starts: list[int] = []
         self._stops: list[int] = []
-        self._len = 0
 
     def __len__(self) -> int:
-        return self._len
+        return sum(map(sub, self._stops, self._starts))
 
     def __iter__(self) -> Iterator[int]:
         return chain.from_iterable(map(range, self._starts, self._stops))
@@ -63,23 +64,18 @@ class IdRanges:
         if not stops or start > stops[-1]:
             starts.append(start)
             stops.append(stop)
-            self._len += stop - start
             return
         if start >= starts[-1]:
-            if stop > stops[-1]:
-                self._len += stop - stops[-1]
-                stops[-1] = stop
+            stops[-1] = max(stop, stops[-1])
             return
         # Ranges i..j-1 overlap or touch [start, stop); merge them into one.
         i = bisect_left(stops, start)
         j = bisect_right(starts, stop, i)
         if i < j:
-            self._len -= sum(map(sub, stops[i:j], starts[i:j]))
             start = min(start, starts[i])
             stop = max(stop, stops[j - 1])
         starts[i:j] = (start,)
         stops[i:j] = (stop,)
-        self._len += stop - start
 
     def remove(self, start: int, stop: int) -> None:
         """Remove the ids ``start`` up to ``stop``, exclusive, where present."""
@@ -87,16 +83,13 @@ class IdRanges:
             return
         starts, stops = self._starts, self._stops
         if start <= starts[0] and stop < stops[0]:
-            if stop > starts[0]:
-                self._len -= stop - starts[0]
-                starts[0] = stop
+            starts[0] = max(stop, starts[0])
             return
         # Ranges i..j-1 overlap [start, stop); keep what sticks out on either side.
         i = bisect_right(stops, start)
         j = bisect_left(starts, stop, i)
         if i == j:
             return
-        self._len -= sum(map(sub, stops[i:j], starts[i:j]))
         new_starts, new_stops = [], []
         if starts[i] < start:
             new_starts.append(starts[i])
@@ -104,7 +97,6 @@ class IdRanges:
         if stops[j - 1] > stop:
             new_starts.append(stop)
             new_stops.append(stops[j - 1])
-        self._len += sum(map(sub, new_stops, new_starts))
         starts[i:j] = new_starts
         stops[i:j] = new_stops
 
@@ -120,11 +112,10 @@ class IdRanges:
     def take(self, cap: int | None = None) -> tuple[int, ...]:
         """Remove and return the ``cap`` smallest ids (all of them if ``cap`` is None)."""
         starts, stops = self._starts, self._stops
-        left = self._len if cap is None else min(cap, self._len)
-        self._len -= left
+        left = inf if cap is None else cap
         taken = []
         k = 0
-        while left:
+        while left and k < len(starts):
             start, stop = starts[k], stops[k]
             if stop - start > left:
                 taken.append(range(start, start + left))
