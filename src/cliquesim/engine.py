@@ -116,7 +116,7 @@ def verify_header(
     Checks run in a fixed order; the reported reason is the first enabled
     check that fails:
 
-    1. recently signed: the sealer must not appear in the trailing window;
+    1. recently signed: the sealer must not be one of the snapshot's recent signers;
     2. difficulty domain: difficulty must be 1 or 2;
     3. in-turn identity: difficulty 2 if and only if the sealer is the
        round's leader.

@@ -263,7 +263,8 @@ def preset_text(name: str) -> str:
     if name not in SCENARIO_PRESETS:
         raise ValidationError(f"unknown preset {name!r}", "preset")
     title, verify, attacker = SCENARIO_PRESETS[name]
-    return _PRESET_COMMON.format(title=title, verify=verify) + (_PRESET_ATTACKER if attacker else "")
+    text = _PRESET_COMMON.format(title=title, verify=verify)
+    return text + (_PRESET_ATTACKER if attacker else "")
 
 
 def preset_config(name: str) -> ScenarioConfig:

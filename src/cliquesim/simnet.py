@@ -184,8 +184,9 @@ class Node:
         snapshot = self.sim.snapshots.get(block_hash)
         if snapshot is None:
             n_sealers = len(self.sim.sealers)
-            tail = self.store.chain_tail(block_hash, recents_window(n_sealers) - 1)
-            snapshot = self.sim.snapshots[block_hash] = snapshot_for_chain(n_sealers, tail)
+            depth = recents_window(n_sealers) - 1
+            snapshot = snapshot_for_chain(n_sealers, self.store.chain_tail(block_hash, depth))
+            self.sim.snapshots[block_hash] = snapshot
         return snapshot
 
     def _move_head(self, new_head: bytes) -> None:

@@ -61,12 +61,6 @@ def table():
     }
 
 
-def test_golden_covers_the_whole_table():
-    assert {variant: sorted(cells) for variant, cells in GOLDEN.items()} == {
-        variant: sorted(FLAG_SETS) for variant in VARIANTS
-    }
-
-
 @pytest.mark.parametrize("variant,label", list(itertools.product(VARIANTS, FLAG_SETS)))
 def test_cell_matches_golden(table, variant, label):
     digest, share = table[variant, label]
