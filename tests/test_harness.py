@@ -122,6 +122,76 @@ def test_deviation_key_outside_malicious_section_names_the_line(text, line):
     assert "policy = malicious" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,error,message",
+    [
+        ("n_sealers = 5\n[miner 1]\n", ParseError, "line 2: bad section header '[miner 1]'"),
+        ("n_sealers 5\n", ParseError, "line 1: expected 'key = value', got 'n_sealers 5'"),
+        ("n_sealers = 5\nseed = 1\nseed = 2\n", ParseError, "line 3: duplicate key 'seed'"),
+        (
+            "n_sealers = 5\n[sealer 2]\npolicy = malicious\n[sealer 2]\n",
+            ParseError,
+            "line 4: duplicate section [sealer 2]",
+        ),
+        ("n_sealers = 5\nbogus = 1\n", ParseError, "line 2: unknown key 'bogus'"),
+        (
+            "n_sealers = 5\n[sealer 1]\nbogus = 1\n",
+            ParseError,
+            "line 3: unknown sealer key 'bogus'",
+        ),
+        ("n_sealers = 5\nverify = strict\n", ParseError, "line 2: unknown verify preset 'strict'"),
+        (
+            "n_sealers = 5\n[sealer 1]\nverify = custom\n",
+            ParseError,
+            "line 3: unknown verify preset 'custom'",
+        ),
+        (
+            "n_sealers = 5\n[sealer 1]\npolicy = evil\n",
+            ParseError,
+            "line 3: unknown policy 'evil'",
+        ),
+        ("n_sealers = five\n", ParseError, "line 1: expected an integer, got 'five'"),
+        (
+            "n_sealers = 5\n[sealer 1]\nzero_delay = maybe\n",
+            ParseError,
+            "line 3: expected a boolean, got 'maybe'",
+        ),
+        (
+            "n_sealers = 5\n[sealer 1]\nforced_difficulty = 9\n",
+            ParseError,
+            "line 3: 'forced_difficulty' needs policy = malicious",
+        ),
+        ("seed = 3\n", ValidationError, "n_sealers: missing required key"),
+        (
+            "n_sealers = 3\n[sealer 7]\npolicy = malicious\n",
+            ValidationError,
+            "sealer: sealer 7 out of range",
+        ),
+    ],
+    ids=[
+        "bad-section-header",
+        "missing-equals",
+        "duplicate-key",
+        "duplicate-section",
+        "unknown-key",
+        "unknown-sealer-key",
+        "unknown-verify-preset",
+        "unknown-section-verify-preset",
+        "unknown-policy",
+        "bad-int",
+        "bad-bool",
+        "deviation-outside-malicious",
+        "missing-n-sealers",
+        "sealer-out-of-range",
+    ],
+)
+def test_parse_error_messages(text, error, message):
+    with pytest.raises(error) as err:
+        parse_scenario(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 def test_malicious_section_takes_missing_deviations_from_the_full_attacker():
     config = parse_scenario(
         "n_sealers = 5\n[sealer 1]\npolicy = malicious\n"
