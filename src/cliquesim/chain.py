@@ -1,11 +1,11 @@
 """Content-addressed block storage and heaviest-chain fork choice.
 
-Blocks form a tree rooted at a genesis header. Every insertion is stamped
-with a monotone arrival sequence number so fork-choice ties resolve to the
-branch that was seen first, and cumulative difficulty is cached per block
-so head selection never re-walks the tree. The heaviest tip is kept up to
-date on every insert, and a head move walks only the two diverging
-branches, so the work per block does not grow with the chain.
+Blocks form a tree rooted at a genesis header. The store keeps its tips in
+insertion order, so fork-choice ties resolve to the branch that was seen
+first, and cumulative difficulty is cached per block so head selection
+never re-walks the tree. The heaviest tip is kept up to date on every
+insert, and a head move walks only the two diverging branches, so the
+work per block does not grow with the chain.
 """
 
 from __future__ import annotations
@@ -106,14 +106,14 @@ def id_runs(ids: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
-def make_genesis(sim_time_ms: int = 0) -> BlockHeader:
+def make_genesis() -> BlockHeader:
     return BlockHeader(
         number=0,
         parent=NIL_PARENT,
         sealer_index=0,
         sealer_addr=GENESIS_ADDRESS,
         difficulty=0,
-        sim_time_ms=sim_time_ms,
+        sim_time_ms=0,
         tx_ids=(),
     )
 
@@ -132,7 +132,6 @@ def hash_header(header: BlockHeader) -> bytes:
 @dataclass
 class _Stored:
     header: BlockHeader
-    arrival_seq: int
     total_difficulty: int
 
 
@@ -151,12 +150,12 @@ class ChainStore:
             raise ValueError("genesis carries difficulty 0 and no transactions")
         self.genesis = hash_header(genesis)
         self._blocks: dict[bytes, _Stored] = {
-            self.genesis: _Stored(genesis, arrival_seq=0, total_difficulty=0)
+            self.genesis: _Stored(genesis, total_difficulty=0)
         }
-        # Leaves of the tree; insertion-ordered for deterministic scans.
+        # Leaves of the tree in arrival order: a block becomes a tip when it
+        # arrives and is never one again once it has a child.
         self._tips: dict[bytes, None] = {self.genesis: None}
         self._best = self.genesis
-        self._next_seq = 1
 
     def __contains__(self, block_hash: bytes) -> bool:
         return block_hash in self._blocks
@@ -167,12 +166,6 @@ class ChainStore:
     def header(self, block_hash: bytes) -> BlockHeader:
         try:
             return self._blocks[block_hash].header
-        except KeyError:
-            raise UnknownBlockError(block_hash.hex()) from None
-
-    def arrival_seq(self, block_hash: bytes) -> int:
-        try:
-            return self._blocks[block_hash].arrival_seq
         except KeyError:
             raise UnknownBlockError(block_hash.hex()) from None
 
@@ -189,13 +182,8 @@ class ChainStore:
                 f"block number {header.number} does not follow parent "
                 f"{parent.header.number}"
             )
-        stored = _Stored(
-            header,
-            arrival_seq=self._next_seq,
-            total_difficulty=parent.total_difficulty + header.difficulty,
-        )
+        stored = _Stored(header, parent.total_difficulty + header.difficulty)
         self._blocks[block_hash] = stored
-        self._next_seq += 1
         self._tips.pop(header.parent, None)
         self._tips[block_hash] = None
         # The new block arrived last, so it loses every tie and takes the
@@ -221,11 +209,8 @@ class ChainStore:
         return self._best
 
     def _scan_tips(self) -> bytes:
-        def key(tip: bytes) -> tuple[int, int]:
-            stored = self._blocks[tip]
-            return stored.total_difficulty, -stored.arrival_seq
-
-        return max(self._tips, key=key)
+        # ``max`` keeps the first of equal keys, and the tips are in arrival order.
+        return max(self._tips, key=lambda tip: self._blocks[tip].total_difficulty)
 
     def canonical_chain(self, head: bytes) -> list[BlockHeader]:
         """Headers from genesis to ``head``, ascending by number."""
@@ -234,7 +219,7 @@ class ChainStore:
     def chain_tail(self, head: bytes, depth: int) -> list[BlockHeader]:
         """The last ``depth`` headers of ``canonical_chain(head)``, ascending."""
         header = self.header(head)
-        tail = [header]
+        tail = [header] if depth > 0 else []
         while len(tail) < depth and not header.is_genesis():
             header = self._blocks[header.parent].header
             tail.append(header)

@@ -62,10 +62,11 @@ def path_difficulty(store: ChainStore, tip: bytes) -> int:
 
 def brute_force_head(store: ChainStore) -> bytes:
     """Independent oracle: enumerate every root-to-leaf path, pick the
-    heaviest, break ties by smallest arrival sequence."""
-    parents = {store.header(h).parent for h in iter_hashes(store)}
-    leaves = [h for h in iter_hashes(store) if h not in parents]
-    return max(leaves, key=lambda h: (path_difficulty(store, h), -store.arrival_seq(h)))
+    heaviest, break ties by earliest arrival."""
+    arrival = {h: seq for seq, h in enumerate(iter_hashes(store))}
+    parents = {store.header(h).parent for h in arrival}
+    leaves = [h for h in arrival if h not in parents]
+    return max(leaves, key=lambda h: (path_difficulty(store, h), -arrival[h]))
 
 
 def iter_hashes(store: ChainStore):

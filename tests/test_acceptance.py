@@ -28,7 +28,7 @@ from cliquesim import (
     verify_header,
 )
 
-from conftest import children, grow
+from conftest import children, grow, iter_hashes
 
 
 @pytest.fixture(scope="module")
@@ -147,9 +147,8 @@ def test_criterion_5_fork_choice_oracle_equivalence():
             stack.extend(below)
             if not below:
                 leaves.append(h)
-        return max(
-            leaves, key=lambda h: (path_difficulty(store, h), -store.arrival_seq(h))
-        )
+        arrival = {h: seq for seq, h in enumerate(iter_hashes(store))}
+        return max(leaves, key=lambda h: (path_difficulty(store, h), -arrival[h]))
 
     rng = random.Random(1234)
     mismatches = 0
