@@ -10,13 +10,17 @@ _PANEL_W = 420
 _PANEL_H = 300
 _MARGIN = 48
 _BAR_GAP = 12
+_MIN_BAR_W = 4
 
 
 def _panel(title: str, labels: list[str], values: list[int], x_off: int) -> list[str]:
     peak = max(values) if max(values, default=0) > 0 else 1
     plot_w = _PANEL_W - 2 * _MARGIN
     plot_h = _PANEL_H - 2 * _MARGIN
-    bar_w = max(4, (plot_w - _BAR_GAP * (len(values) - 1)) // max(1, len(values)))
+    # Up to 21 bars keep the full gap; more shrink the gap, then the bars (324 fit).
+    n = max(1, len(values))
+    gap = min(_BAR_GAP, max(0, (plot_w - _MIN_BAR_W * n) // max(1, n - 1)))
+    bar_w = max(1, (plot_w - gap * (n - 1)) // n)
     parts = [
         f'<text x="{x_off + _PANEL_W // 2}" y="24" text-anchor="middle" '
         f'font-size="14">{title}</text>',
@@ -31,7 +35,7 @@ def _panel(title: str, labels: list[str], values: list[int], x_off: int) -> list
     ]
     for i, (label, value) in enumerate(zip(labels, values)):
         height = plot_h * value // peak
-        x = x_off + _MARGIN + i * (bar_w + _BAR_GAP)
+        x = x_off + _MARGIN + i * (bar_w + gap)
         y = _PANEL_H - _MARGIN - height
         parts.append(
             f'<rect class="bar" x="{x}" y="{y}" width="{bar_w}" height="{height}" '

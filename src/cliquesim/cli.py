@@ -45,16 +45,19 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run.add_argument("--log-format", choices=("plain", "csv"), default="plain")
     run.add_argument("--chart", action="store_true", help="also emit an SVG chart")
+    run.set_defaults(handler=_cmd_run)
 
     preset = sub.add_parser("preset", help="write a bundled scenario file")
     preset.add_argument("name", choices=list(SCENARIO_PRESETS))
     preset.add_argument("--out", default=".", help="output directory (default: .)")
+    preset.set_defaults(handler=_cmd_preset)
 
     sweep = sub.add_parser("sweep", help="rerun a scenario across a seed range")
     sweep.add_argument("scenario", help="path to a scenario file")
     sweep.add_argument(
         "--seeds", required=True, metavar="A..B", help="inclusive seed range, e.g. 0..9"
     )
+    sweep.set_defaults(handler=_cmd_sweep)
     return parser
 
 
@@ -135,16 +138,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "preset":
-            return _cmd_preset(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        parser.error(f"unknown command {args.command!r}")  # pragma: no cover
+        return args.handler(args)
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -154,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,6 +14,7 @@ import hashlib
 import json
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .engine import FIXED, PRESETS, VerifyFlags
@@ -129,70 +130,61 @@ def _parse_int(value: str, line: int) -> int:
         raise ParseError(f"expected an integer, got {value!r}", line) from None
 
 
+def _parse_choice(what: str, allowed: tuple[str, ...], value: str, line: int) -> str:
+    if value not in allowed:
+        raise ParseError(f"unknown {what} {value!r}", line)
+    return value
+
+
 # Value parser per field annotation, for the fields a scenario file sets directly.
 _PARSERS = {"int": _parse_int, "int | None": _parse_int, "bool": _parse_bool}
-_GLOBAL_KEYS = {f.name: _PARSERS[f.type] for f in fields(ScenarioConfig) if f.type in _PARSERS}
-_CHECK_KEYS = {f.name for f in fields(VerifyFlags)}
-_SEALER_KEYS = {f.name: _PARSERS[f.type] for f in fields(SealerPolicy)}
+
+# Key -> value parser, per section kind. At the top level ``verify = custom``
+# starts from the fixed preset, and the check keys override single checks.
+_GLOBAL_KEYS = {
+    **{f.name: _PARSERS[f.type] for f in fields(ScenarioConfig) if f.type in _PARSERS},
+    "verify": partial(_parse_choice, "verify preset", (*PRESETS, "custom")),
+    **{f.name: _PARSERS[f.type] for f in fields(VerifyFlags)},
+}
+_SEALER_KEYS = {
+    "policy": partial(_parse_choice, "policy", ("honest", "malicious")),
+    **{f.name: _PARSERS[f.type] for f in fields(SealerPolicy)},
+    "verify": partial(_parse_choice, "verify preset", tuple(PRESETS)),
+}
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse scenario text; defaults applied, invariants validated."""
-    globals_: dict[str, int] = {}
-    preset = "fixed"
-    global_checks: dict[str, bool] = {}
     # per section: key -> (parsed value, line number), in line order
+    top: dict[str, tuple[object, int]] = {}
     sealer_sections: dict[int, dict[str, tuple[object, int]]] = {}
-    current: dict[str, tuple[object, int]] | None = None
-    seen_keys: set[str] = set()  # keys already given in the current section
+    section, keys, kind = top, _GLOBAL_KEYS, "key"
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        section = _SECTION_RE.match(line)
-        if section:
-            index = int(section.group(1))
+        header = _SECTION_RE.match(line)
+        if header:
+            index = int(header.group(1))
             if index in sealer_sections:
                 raise ParseError(f"duplicate section [sealer {index}]", line_no)
-            current = sealer_sections[index] = {}
-            seen_keys = set()
+            section = sealer_sections[index] = {}
+            keys, kind = _SEALER_KEYS, "sealer key"
             continue
         if line.startswith("["):
             raise ParseError(f"bad section header {line!r}", line_no)
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", line_no)
         key, _, value = (part.strip() for part in line.partition("="))
-        if key in seen_keys:
+        if key in section:
             raise ParseError(f"duplicate key {key!r}", line_no)
-        seen_keys.add(key)
-        if current is None:
-            if key in _GLOBAL_KEYS:
-                globals_[key] = _GLOBAL_KEYS[key](value, line_no)
-            elif key == "verify":
-                if value not in PRESETS and value != "custom":
-                    raise ParseError(f"unknown verify preset {value!r}", line_no)
-                preset = value
-            elif key in _CHECK_KEYS:
-                global_checks[key] = _parse_bool(value, line_no)
-            else:
-                raise ParseError(f"unknown key {key!r}", line_no)
-        else:
-            if key == "policy":
-                if value not in ("honest", "malicious"):
-                    raise ParseError(f"unknown policy {value!r}", line_no)
-                parsed: object = value
-            elif key in _SEALER_KEYS:
-                parsed = _SEALER_KEYS[key](value, line_no)
-            elif key == "verify":
-                if value not in PRESETS:
-                    raise ParseError(f"unknown verify preset {value!r}", line_no)
-                parsed = value
-            else:
-                raise ParseError(f"unknown sealer key {key!r}", line_no)
-            current[key] = (parsed, line_no)
+        if key not in keys:
+            raise ParseError(f"unknown {kind} {key!r}", line_no)
+        section[key] = (keys[key](value, line_no), line_no)
 
-    if "n_sealers" not in globals_:
+    values = {key: value for key, (value, _) in top.items()}
+    if "n_sealers" not in values:
         raise ValidationError("missing required key", "n_sealers")
 
     specs: dict[int, SealerSpec] = {}
@@ -208,10 +200,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
             flags=PRESETS[verify] if verify else None,
         )
 
-    base = PRESETS.get(preset, FIXED)  # "custom" starts from fixed
-    config = ScenarioConfig(
-        **globals_, flags=replace(base, **global_checks), sealer_specs=specs
-    )
+    checks = {f.name: values.pop(f.name) for f in fields(VerifyFlags) if f.name in values}
+    base = PRESETS.get(values.pop("verify", "fixed"), FIXED)  # "custom" starts from fixed
+    config = ScenarioConfig(**values, flags=replace(base, **checks), sealer_specs=specs)
     config.validate()
     return config
 
@@ -221,7 +212,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if not path.is_file():
         raise ParseError(f"no scenario file at {path}", 0)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8", line) from None
@@ -314,13 +305,7 @@ class RunReport:
         return self.per_sealer[index].canonical_blocks / height if height else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "block_log": [vars(row) for row in self.block_log],
-            "per_sealer": [vars(s) for s in self.per_sealer],
-            "totals": self.totals,
-            "nodes": self.nodes,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -81,10 +82,7 @@ class SealerTally:
 
     attempts: int = 0
     leader_attempts: int = 0
-    rejections: dict[str, int] = field(default_factory=dict)
-
-    def record_rejection(self, reason: str) -> None:
-        self.rejections[reason] = self.rejections.get(reason, 0) + 1
+    rejections: Counter[str] = field(default_factory=Counter)
 
 
 @dataclass
@@ -161,7 +159,7 @@ class Node:
         reason = verify_header(header, self._snapshot_at(header.parent), self.flags)
         if reason is not None:
             self.rejected += 1
-            self.sim.tallies[header.sealer_index].record_rejection(reason.value)
+            self.sim.tallies[header.sealer_index].rejections[reason.value] += 1
             if header.sealer_index == self.index:
                 self.mempool.restore(header.tx_ids)
             return

@@ -1,4 +1,5 @@
 import dataclasses
+from xml.etree import ElementTree
 
 import pytest
 
@@ -201,6 +202,13 @@ def test_malicious_section_takes_missing_deviations_from_the_full_attacker():
     assert config.sealer_specs[2].policy == SealerPolicy(9, False, True)
 
 
+@pytest.mark.parametrize("name", ["honest", "attack", "fixed"])
+def test_scenario_with_byte_order_mark_parses_like_plain(tmp_path, name):
+    path = tmp_path / f"{name}.scenario"
+    path.write_text("\ufeff" + preset_text(name), encoding="utf-8")
+    assert load_scenario(path) == preset_config(name)
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ParseError):
         load_scenario(tmp_path / "nope.scenario")
@@ -330,6 +338,21 @@ def test_chart_single_sealer(tmp_path):
     out = tmp_path / "one.svg"
     emit_chart(report, out)
     assert out.read_text().count('class="bar"') == 2
+
+
+def test_chart_bars_stay_inside_their_panels_at_41_sealers(tmp_path):
+    report = run_scenario(ScenarioConfig(n_sealers=41, duration_ms=60_000))
+    out = tmp_path / "wide.svg"
+    emit_chart(report, out)
+    svg = ElementTree.parse(out).getroot()
+    width = int(svg.get("width"))
+    bars = [el for el in svg.iter() if el.get("class") == "bar"]
+    assert len(bars) == 2 * 41
+    panel_w = width // 2
+    for i, bar in enumerate(bars):
+        left = panel_w * (i // 41)
+        x, bar_w = int(bar.get("x")), int(bar.get("width"))
+        assert left <= x and x + bar_w <= left + panel_w, (i, x, bar_w)
 
 
 # -- sweep ---------------------------------------------------------------------
