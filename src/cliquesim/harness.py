@@ -139,8 +139,7 @@ def _parse_choice(what: str, allowed: tuple[str, ...], value: str, line: int) ->
 # Value parser per field annotation, for the fields a scenario file sets directly.
 _PARSERS = {"int": _parse_int, "int | None": _parse_int, "bool": _parse_bool}
 
-# Key -> value parser, per section kind. At the top level ``verify = custom``
-# starts from the fixed preset, and the check keys override single checks.
+# Key -> value parser, per section kind.
 _GLOBAL_KEYS = {
     **{f.name: _PARSERS[f.type] for f in fields(ScenarioConfig) if f.type in _PARSERS},
     "verify": partial(_parse_choice, "verify preset", (*PRESETS, "custom")),
