@@ -11,11 +11,10 @@ work per block does not grow with the chain.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from operator import lt
+from math import inf
 
 HASH_SIZE = 32
 
@@ -48,6 +47,10 @@ class BlockHeader:
     ``sim_time_ms`` is the protocol timestamp claimed by the sealer
     (parent time plus the configured block interval, or later); it is not
     necessarily the instant the block was physically broadcast.
+
+    ``tx_runs`` holds the block's tx ids as half-open ``(start, stop)``
+    runs that are non-empty, ascending and non-touching, so one id set has
+    exactly one encoding and the header's work does not grow with its ids.
     """
 
     number: int
@@ -56,7 +59,14 @@ class BlockHeader:
     sealer_addr: str
     difficulty: int
     sim_time_ms: int
-    tx_ids: tuple[int, ...] = ()
+    tx_runs: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        last_stop = -inf
+        for start, stop in self.tx_runs:
+            if not last_stop < start < stop:
+                raise ValueError("tx runs must be non-empty, ascending and non-touching")
+            last_stop = stop
 
     def is_genesis(self) -> bool:
         return self.number == 0 and self.parent == NIL_PARENT
@@ -72,38 +82,25 @@ class BlockHeader:
                 self.sealer_addr,
                 str(self.difficulty),
                 str(self.sim_time_ms),
-                ",".join(map(str, self.tx_ids)),
+                ",".join(f"{start}:{stop}" for start, stop in self.tx_runs),
             )
         )
         return hashlib.sha256(encoding.encode("ascii")).digest()
 
-    @cached_property
-    def tx_runs(self) -> tuple[tuple[int, int], ...]:
-        """``tx_ids`` as runs of consecutive ids (``id_runs``), split once per header object."""
-        return id_runs(self.tx_ids)
+    @property
+    def tx_count(self) -> int:
+        """Number of tx ids in the block."""
+        return sum(stop - start for start, stop in self.tx_runs)
 
+    @property
+    def tx_ids(self) -> tuple[int, ...]:
+        """The ids of ``tx_runs``, ascending, expanded on every read.
 
-def id_runs(ids: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The maximal runs of consecutive ids in ``ids``, as half-open ``(start, stop)`` pairs.
-
-    Raises ``ValueError`` unless ``ids`` is strictly ascending, as a packed
-    block's ids always are; that check is one pass in C. Within a run
-    ``ids[i] - i`` is constant, and it grows from one run to the next, so
-    the split is O(1) when the ids are consecutive and one binary search
-    per run otherwise.
-    """
-    if not all(map(lt, ids, islice(ids, 1, None))):
-        raise ValueError("tx ids must be strictly ascending")
-    n = len(ids)
-    if n and ids[-1] - ids[0] + 1 == n:
-        return ((ids[0], ids[-1] + 1),)
-    runs = []
-    i = 0
-    while i < n:
-        j = bisect_right(range(n), ids[i] - i, i, n, key=lambda k: ids[k] - k)
-        runs.append((ids[i], ids[j - 1] + 1))
-        i = j
-    return tuple(runs)
+        The simulator reads only the runs. This view exists for checkers
+        that compare id sets, such as the tx-conservation tests and the
+        benchmark's output checks.
+        """
+        return tuple(itertools.chain.from_iterable(itertools.starmap(range, self.tx_runs)))
 
 
 def make_genesis() -> BlockHeader:
@@ -114,7 +111,6 @@ def make_genesis() -> BlockHeader:
         sealer_addr=GENESIS_ADDRESS,
         difficulty=0,
         sim_time_ms=0,
-        tx_ids=(),
     )
 
 
@@ -146,7 +142,7 @@ class ChainStore:
     def __init__(self, genesis: BlockHeader):
         if not genesis.is_genesis():
             raise ValueError("genesis header must have number 0 and a nil parent")
-        if genesis.difficulty != 0 or genesis.tx_ids:
+        if genesis.difficulty != 0 or genesis.tx_runs:
             raise ValueError("genesis carries difficulty 0 and no transactions")
         self.genesis = hash_header(genesis)
         self._blocks: dict[bytes, _Stored] = {

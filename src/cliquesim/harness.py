@@ -336,7 +336,7 @@ def assemble_report(config: ScenarioConfig, result: SimResult) -> RunReport:
             sealer_addr=header.sealer_addr,
             difficulty=header.difficulty,
             time_ms=header.sim_time_ms,
-            tx_count=len(header.tx_ids),
+            tx_count=header.tx_count,
         )
         for header in result.canonical
     ]
@@ -344,7 +344,7 @@ def assemble_report(config: ScenarioConfig, result: SimResult) -> RunReport:
     txs = [0] * config.n_sealers
     for header in result.canonical[1:]:
         blocks[header.sealer_index] += 1
-        txs[header.sealer_index] += len(header.tx_ids)
+        txs[header.sealer_index] += header.tx_count
     per_sealer = [
         SealerReport(
             index=i,

@@ -161,7 +161,7 @@ class Node:
             self.rejected += 1
             self.sim.tallies[header.sealer_index].rejections[reason.value] += 1
             if header.sealer_index == self.index:
-                self.mempool.restore(header.tx_ids)
+                self.mempool.restore(header.tx_runs)
             return
         self.store.extend(header)
         self.accepted += 1
@@ -222,7 +222,7 @@ class Node:
         if plan is not self.pending or self.sim.now > self.sim.t_end:
             return
         self.pending = None
-        tx_ids = self.mempool.pack_block(self.sim.tx_cap)
+        tx_runs = self.mempool.pack_block(self.sim.tx_cap)
         header = BlockHeader(
             number=plan.height,
             parent=plan.parent,
@@ -230,7 +230,7 @@ class Node:
             sealer_addr=self.sim.sealers[self.index],
             difficulty=plan.difficulty,
             sim_time_ms=plan.claim_ms,
-            tx_ids=tx_ids,
+            tx_runs=tx_runs,
         )
         tally = self.sim.tallies[self.index]
         tally.attempts += 1

@@ -3,8 +3,8 @@
 A transaction is just its id, handed out in creation order at a constant
 rate, so its creation time follows from the id (``tx_batch_schedule``).
 Sets of ids are kept as sorted id ranges (``IdRanges``): a batch is one
-range, and a block's ids are a few runs of consecutive ids, so the ledger
-does work per range, not per id.
+range, and a block carries its ids as a few runs of consecutive ids
+(``BlockHeader.tx_runs``), so the ledger does work per range, not per id.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import chain
 from math import inf
 from operator import sub
 
-from .chain import BlockHeader, id_runs
+from .chain import BlockHeader
 
 
 def tx_batch_schedule(rate_per_s: int, t_end_ms: int) -> list[tuple[int, range]]:
@@ -109,23 +109,20 @@ class IdRanges:
         j = bisect_left(starts, stop, i)
         return [(max(start, starts[k]), min(stop, stops[k])) for k in range(i, j)]
 
-    def take(self, cap: int | None = None) -> tuple[int, ...]:
-        """Remove and return the ``cap`` smallest ids (all of them if ``cap`` is None)."""
+    def take(self, cap: int | None = None) -> tuple[tuple[int, int], ...]:
+        """Remove the ``cap`` smallest ids (all of them if ``cap`` is None) and return them as ranges."""
         starts, stops = self._starts, self._stops
         left = inf if cap is None else cap
-        taken = []
         k = 0
-        while left and k < len(starts):
-            start, stop = starts[k], stops[k]
-            if stop - start > left:
-                taken.append(range(start, start + left))
-                starts[k] = start + left
-                break
-            taken.append(range(start, stop))
-            left -= stop - start
+        while k < len(starts) and stops[k] - starts[k] <= left:
+            left -= stops[k] - starts[k]
             k += 1
+        taken = list(zip(starts[:k], stops[:k]))
         del starts[:k], stops[:k]
-        return tuple(chain.from_iterable(taken))
+        if left and starts:
+            taken.append((starts[0], starts[0] + left))
+            starts[0] += left
+        return tuple(taken)
 
 
 @dataclass
@@ -145,17 +142,17 @@ class Mempool:
         """Add a batch of new ids, a range of step 1."""
         self.pending.add(txs.start, txs.stop)
 
-    def pack_block(self, cap: int | None = None) -> tuple[int, ...]:
-        """Pop the oldest pending txs, at most ``cap`` of them.
+    def pack_block(self, cap: int | None = None) -> tuple[tuple[int, int], ...]:
+        """Pop the oldest pending txs, at most ``cap`` of them, as a block's ``tx_runs``.
 
         The packed ids leave the pending set; the caller restores them if
         the seal never takes effect.
         """
         return self.pending.take(cap)
 
-    def restore(self, tx_ids: tuple[int, ...]) -> None:
-        """Return the ids of an own block that never took effect, except those canonical by now."""
-        for start, stop in id_runs(tx_ids):
+    def restore(self, tx_runs: tuple[tuple[int, int], ...]) -> None:
+        """Return the id runs of an own block that never took effect, except ids canonical by now."""
+        for start, stop in tx_runs:
             for canonical_start, canonical_stop in self.canonical.overlap(start, stop):
                 self.pending.add(start, canonical_start)
                 start = canonical_stop

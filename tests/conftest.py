@@ -1,6 +1,8 @@
 import dataclasses
+import os
 
 import pytest
+from hypothesis import settings
 
 from cliquesim import (
     BlockHeader,
@@ -8,6 +10,13 @@ from cliquesim import (
     make_genesis,
     preset_config,
 )
+
+
+# Property tests are derandomised, so every run checks the same examples.
+# ``HYPOTHESIS_PROFILE=ci`` draws ten times as many.
+settings.register_profile("default", max_examples=100, deadline=None, derandomize=True)
+settings.register_profile("ci", max_examples=1000, deadline=None, derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture
@@ -21,7 +30,7 @@ def child_header(
     sealer_index: int = 0,
     difficulty: int = 1,
     time_ms: int | None = None,
-    tx_ids: tuple[int, ...] = (),
+    tx_runs: tuple[tuple[int, int], ...] = (),
     addr: str | None = None,
 ) -> BlockHeader:
     """Header extending ``parent`` with plausible defaults filled in."""
@@ -33,13 +42,24 @@ def child_header(
         sealer_addr=addr if addr is not None else f"0x{sealer_index:040x}",
         difficulty=difficulty,
         sim_time_ms=time_ms if time_ms is not None else parent_header.sim_time_ms + 5000,
-        tx_ids=tx_ids,
+        tx_runs=tx_runs,
     )
 
 
 def grow(store: ChainStore, parent: bytes, **kwargs) -> bytes:
     """Extend the store under ``parent`` and return the new hash."""
     return store.extend(child_header(store, parent, **kwargs))
+
+
+def runs_of(sorted_ids):
+    """Independent oracle: group ascending ids into maximal ``(start, stop)`` runs."""
+    runs = []
+    for i in sorted_ids:
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    return [tuple(run) for run in runs]
 
 
 def short_preset(name: str, duration_ms: int, seed: int | None = None):

@@ -28,8 +28,8 @@ def test_hash_changes_with_difficulty(store):
 
 
 def test_hash_changes_with_tx_count(store):
-    a = child_header(store, store.genesis, tx_ids=tuple(range(50)))
-    b = child_header(store, store.genesis, tx_ids=tuple(range(49)))
+    a = child_header(store, store.genesis, tx_runs=((0, 50),))
+    b = child_header(store, store.genesis, tx_runs=((0, 49),))
     assert hash_header(a) != hash_header(b)
 
 

@@ -26,12 +26,15 @@ before the event queue came to hold handlers instead of payload types.
 
 The block log and the report count each block's txs but do not list
 them. ``golden/heads.json`` therefore pins node 0's final head hash, which
-commits to every tx id of the canonical chain in order. It covers the
-presets at seeds 0-3, every scenario above, and the ``fixed`` and
+commits to each block's tx id runs along the canonical chain. It covers
+the presets at seeds 0-3, every scenario above, and the ``fixed`` and
 ``attack`` presets at 500 tx/s for two minutes with ``tx_cap`` 700 (the
 cap binds, and the ``fixed`` run restores packed txs of rejected blocks)
-and 0 (every tx stays pending). The pins were produced by the simulator
-before the mempool became a set of tx ids.
+and 0 (every tx stays pending). The pins were re-made when the header
+digest came to encode id runs instead of listing every id; re-hashing
+each pinned chain with the old id-list encoding reproduced every earlier
+pin, so only the encoding changed. The 28 runs with txs on the chain got
+new pins; the two ``cap0`` runs kept theirs.
 """
 
 import dataclasses

@@ -1,29 +1,21 @@
-"""``IdRanges`` and ``id_runs`` driven against a plain ``set`` model.
+"""``IdRanges`` and a header's ``tx_runs`` driven against a plain ``set`` model.
 
 A range starts either anywhere in a small interval or at a bound of the
 ranges already held, and is short, so empty, touching, overlapping and
 fully covering ranges all come up often; the edge-case test spells out
-one of each. The examples are derandomised, so every run checks the same
-cases.
+one of each. The same kinds of runs are drawn for a header, which must
+accept exactly the one canonical run list of each id set. The example
+counts come from the hypothesis profile that ``conftest`` loads.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from cliquesim.chain import id_runs
+from cliquesim import BlockHeader
 from cliquesim.workload import IdRanges
 
-
-def runs_of(sorted_ids):
-    """Independent oracle: group ascending ids into maximal ``(start, stop)`` runs."""
-    runs = []
-    for i in sorted_ids:
-        if runs and runs[-1][1] == i:
-            runs[-1][1] = i + 1
-        else:
-            runs.append([i, i + 1])
-    return [tuple(run) for run in runs]
+from conftest import runs_of
 
 
 def apply_and_check(ranges, model, op):
@@ -41,7 +33,7 @@ def apply_and_check(ranges, model, op):
     else:
         (cap,) = args
         expected = sorted(model)[:cap]
-        assert ranges.take(cap) == tuple(expected)
+        assert ranges.take(cap) == tuple(runs_of(expected))
         model.difference_update(expected)
     # IdRanges has no public view of its ranges, so this reads its bound lists.
     assert list(zip(ranges._starts, ranges._stops)) == runs_of(sorted(model)), op
@@ -69,7 +61,6 @@ def resolve(start, model):
     return bounds[start[1] % len(bounds)] if bounds else 0
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
 @given(ops)
 def test_id_ranges_match_a_set(ops):
     ranges, model = IdRanges(), set()
@@ -99,33 +90,57 @@ def test_id_ranges_edge_cases(ops):
         apply_and_check(ranges, model, op)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 60)), max_size=8), st.integers(0, 10**9))
-def test_id_runs_splits_ascending_ids_into_maximal_runs(gaps_and_lengths, first):
-    # Runs of drawn lengths separated by drawn gaps, so long consecutive
-    # stretches and single ids both occur.
-    sorted_ids = []
-    start = first
-    for gap, length in gaps_and_lengths:
-        sorted_ids.extend(range(start, start + length))
-        start += length + gap
-    assert list(id_runs(tuple(sorted_ids))) == runs_of(sorted_ids)
+def header(tx_runs):
+    return BlockHeader(
+        number=1,
+        parent=b"\x01" * 32,
+        sealer_index=0,
+        sealer_addr=f"0x{0:040x}",
+        difficulty=1,
+        sim_time_ms=5000,
+        tx_runs=tx_runs,
+    )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.lists(st.integers(0, 12), max_size=12))
-def test_id_runs_accounts_any_tuple_or_raises(drawn):
-    ids = tuple(drawn)
-    if any(a >= b for a, b in zip(ids, ids[1:])):
-        with pytest.raises(ValueError):
-            id_runs(ids)
-    else:
-        assert list(id_runs(ids)) == runs_of(ids)
+# A canonical run list is drawn as a first start and (gap, length) steps
+# of at least 1: each run starts ``gap`` past the previous stop and holds
+# ``length`` ids. A fault, when one is drawn, replaces one step: a gap of
+# 0 makes its run touch the previous one, a negative gap makes it overlap
+# or precede it, and a length below 1 makes it empty or reversed.
+run_steps = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), max_size=6)
+faults = st.none() | st.tuples(st.integers(0, 5), st.integers(-3, 0), st.integers(-1, 4))
 
 
-@pytest.mark.parametrize("ids", [(0, 1, 1, 3), (0, 2, 1, 3), (0, 2, 2, 2, 4), (7, 9, 9, 10)])
-def test_id_runs_rejects_unsorted_or_duplicate_ids(ids):
-    # Each spans as many ids from first to last as it holds, so that test
-    # alone would take it for one consecutive run.
-    with pytest.raises(ValueError, match="strictly ascending"):
-        id_runs(ids)
+@given(st.integers(-5, 5), run_steps, faults, st.randoms(use_true_random=False))
+def test_header_accepts_exactly_the_canonical_run_list_of_its_ids(first, steps, fault, rng):
+    if fault is not None and steps:
+        index, gap, length = fault
+        steps[index % len(steps)] = (gap, length)
+    runs, stop = [], first
+    for gap, length in steps:
+        start = stop + gap
+        stop = start + length
+        runs.append((start, stop))
+    ids = sorted({i for start, stop in runs for i in range(start, stop)})
+    if runs != runs_of(ids):
+        with pytest.raises(ValueError, match="non-empty, ascending and non-touching"):
+            header(tuple(runs))
+        return
+    block = header(tuple(runs))
+    assert block.tx_ids == tuple(ids)
+    assert block.tx_count == len(ids)
+    # The same id set reached another way encodes, and so hashes, the same.
+    pool = IdRanges()
+    for i in rng.sample(ids, len(ids)):
+        pool.add(i, i + 1)
+    assert header(pool.take()).digest == block.digest
+
+
+@pytest.mark.parametrize(
+    "tx_runs",
+    [((3, 3),), ((4, 2),), ((5, 7), (0, 2)), ((0, 3), (2, 5)), ((0, 2), (2, 4)), ((0, 2), (0, 2))],
+    ids=["empty", "reversed", "unsorted", "overlapping", "touching", "repeated"],
+)
+def test_header_rejects_non_canonical_runs(tx_runs):
+    with pytest.raises(ValueError, match="non-empty, ascending and non-touching"):
+        header(tx_runs)

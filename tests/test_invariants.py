@@ -4,22 +4,24 @@ The node keeps its tx ledger, its head and the sealer snapshot at that head
 up to date incrementally as blocks arrive. The invariant test rebuilds each
 of them from the node's chain store after the run and compares, and checks
 every entry of the run's snapshot memo that node could read against a
-rebuild from the node's own store; it also checks that every stored
-header's tx ids are strictly ascending, which the mempool's run splitting
-relies on. The work tests count the headers the chain store's walks hand
-back, which must grow with the number of dispatched events, not with the
-length of the chain; the snapshots built, which must be at most one per
-block whatever the committee size; and the bytes a pack allocates when
-``tx_cap`` binds, which must not grow with the pending pool.
+rebuild from the node's own store. The work tests count the headers the
+chain store's walks hand back, which must grow with the number of
+dispatched events, not with the length of the chain; the snapshots built,
+which must be at most one per block whatever the committee size; the
+bytes a pack allocates when ``tx_cap`` binds, which must not grow with
+the pending pool; and the bytes a pack or a header digest allocates,
+which must not grow with the ids per block.
 """
 
 import dataclasses
+import functools
 import tracemalloc
 
 import pytest
 
 import cliquesim.simnet
 from cliquesim import (
+    BlockHeader,
     ChainStore,
     Mempool,
     build_simulation,
@@ -69,9 +71,6 @@ def test_end_of_run_node_invariants(config):
     for node in sim.nodes:
         chain = node.store.canonical_chain(node.head)
         assert node.head == brute_force_head(node.store)
-        for h in iter_hashes(node.store):
-            tx_ids = node.store.header(h).tx_ids
-            assert all(a < b for a, b in zip(tx_ids, tx_ids[1:])), "tx ids must be strictly ascending"
         assert set(node.mempool.canonical) == {tx for header in chain for tx in header.tx_ids}
         assert set(node.mempool.canonical).isdisjoint(node.mempool.pending)
         n_sealers = len(sim.sealers)
@@ -172,3 +171,40 @@ def test_pack_work_per_block_does_not_grow_with_run_length(monkeypatch):
     for minutes in (10, 20):
         long = _pack_bytes_per_block(monkeypatch, minutes)
         assert long <= 1.25 * short, f"bytes per pack: {short:.0f} at 5 min, {long:.0f} at {minutes} min"
+
+
+def _pack_and_digest_bytes_per_call(monkeypatch, rate):
+    """Mean peak bytes allocated inside a ``Mempool.pack_block`` call or a header's first digest.
+
+    The run is ``honest`` at seed 1 for 2 min with no ``tx_cap``, so each
+    block packs the ids of about one block interval, and those grow with
+    the rate. Every node's packs are traced, and every header's first
+    ``digest``; later reads hit the cache and allocate nothing.
+    """
+    config = dataclasses.replace(preset_config("honest"), seed=1, duration_ms=120_000, tx_rate_per_s=rate)
+    peaks = []
+    pack = Mempool.pack_block
+    digest = BlockHeader.digest.func
+
+    def traced(function, *args):
+        tracemalloc.start()
+        try:
+            return function(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    measured_digest = functools.cached_property(lambda header: traced(digest, header))
+    measured_digest.__set_name__(BlockHeader, "digest")
+    with monkeypatch.context() as patch:
+        patch.setattr(Mempool, "pack_block", lambda self, cap=None: traced(pack, self, cap))
+        patch.setattr(BlockHeader, "digest", measured_digest)
+        sim = build_simulation(config)
+        sim.run_until(config.duration_ms)
+    return sum(peaks) / len(peaks)
+
+
+def test_pack_and_digest_work_per_block_do_not_grow_with_tx_rate(monkeypatch):
+    low = _pack_and_digest_bytes_per_call(monkeypatch, 200)
+    high = _pack_and_digest_bytes_per_call(monkeypatch, 2000)
+    assert high <= 1.25 * low, f"bytes per pack or digest: {low:.0f} at 200 tx/s, {high:.0f} at 2000 tx/s"

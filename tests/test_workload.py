@@ -4,8 +4,10 @@ import pytest
 
 from cliquesim import BlockHeader, Mempool, make_genesis, tx_batch_schedule
 
+from conftest import runs_of
 
-def blk(number, txs, sealer=0):
+
+def blk(number, tx_runs, sealer=0):
     return BlockHeader(
         number=number,
         parent=b"\x01" * 32,
@@ -13,7 +15,7 @@ def blk(number, txs, sealer=0):
         sealer_addr=f"0x{sealer:040x}",
         difficulty=1,
         sim_time_ms=number * 5000,
-        tx_ids=tuple(txs),
+        tx_runs=tuple(tx_runs),
     )
 
 
@@ -56,14 +58,14 @@ def test_stream_rejects_zero_rate():
 def test_pack_everything_fifo():
     pool = Mempool()
     pool.add(range(3))
-    assert pool.pack_block() == (0, 1, 2)
+    assert pool.pack_block() == ((0, 3),)
     assert set(pool.pending) == set()
 
 
 def test_pack_respects_cap():
     pool = filled(50)
     packed = pool.pack_block(cap=10)
-    assert packed == tuple(range(10))
+    assert packed == ((0, 10),)
     assert len(pool.pending) == 40
 
 
@@ -75,9 +77,9 @@ def test_pack_skips_canonical():
     # a rejected own block hands back ids a peer's block has made canonical since
     pool = filled(5)
     packed = pool.pack_block()
-    pool.on_canonical_update([], [blk(1, [0, 3], sealer=2)])
+    pool.on_canonical_update([], [blk(1, [(0, 1), (3, 4)], sealer=2)])
     pool.restore(packed)
-    assert pool.pack_block() == (1, 2, 4)
+    assert pool.pack_block() == ((1, 3), (4, 5))
 
 
 def test_restore_reinstates_packed_txs():
@@ -92,8 +94,8 @@ def test_restore_reinstates_packed_txs():
 def test_canonical_update_no_reorg():
     pool = filled(2, start=100)
     genesis = make_genesis()
-    old = [genesis, blk(1, [0, 1])]
-    new = [genesis, blk(1, [0, 1]), blk(2, [2])]
+    old = [genesis, blk(1, [(0, 2)])]
+    new = [genesis, blk(1, [(0, 2)]), blk(2, [(2, 3)])]
     pool.on_canonical_update(old, new)
     assert sorted(pool.pending) == [100, 101]
 
@@ -101,8 +103,8 @@ def test_canonical_update_no_reorg():
 def test_canonical_update_same_txs_both_sides():
     pool = Mempool()
     genesis = make_genesis()
-    old = [genesis, blk(1, [0, 1], sealer=1)]
-    new = [genesis, blk(1, [0, 1], sealer=2)]
+    old = [genesis, blk(1, [(0, 2)], sealer=1)]
+    new = [genesis, blk(1, [(0, 2)], sealer=2)]
     pool.on_canonical_update(old, new)
     assert set(pool.pending) == set()
     assert set(pool.canonical) == {0, 1}
@@ -116,8 +118,8 @@ def test_canonical_update_abandoned_block_repends_txs():
     pool = Mempool()
     genesis = make_genesis()
     pool.on_canonical_update(
-        [genesis, blk(1, sorted(abandoned_txs))],
-        [genesis, blk(1, sorted(adopted_txs), sealer=2)],
+        [genesis, blk(1, runs_of(sorted(abandoned_txs)))],
+        [genesis, blk(1, runs_of(sorted(adopted_txs)), sealer=2)],
     )
     assert set(pool.pending) == expected
 
@@ -125,22 +127,15 @@ def test_canonical_update_abandoned_block_repends_txs():
 def test_canonical_update_drops_newly_adopted_from_pending():
     pool = filled(4)
     genesis = make_genesis()
-    pool.on_canonical_update([genesis], [genesis, blk(1, [1, 2])])
+    pool.on_canonical_update([genesis], [genesis, blk(1, [(1, 3)])])
     assert sorted(pool.pending) == [0, 3]
-
-
-def test_canonical_update_rejects_unsorted_header_ids():
-    # (0, 1, 1, 3) holds as many ids as it spans, so it would pass for 0..3
-    pool = filled(4)
-    with pytest.raises(ValueError, match="strictly ascending"):
-        pool.on_canonical_update([], [blk(1, [0, 1, 1, 3])])
 
 
 def test_canonical_update_partial_overlap():
     pool = Mempool()
     genesis = make_genesis()
-    old = [genesis, blk(1, [0, 1, 2])]
-    new = [genesis, blk(1, [2, 3], sealer=2), blk(2, [4], sealer=3)]
+    old = [genesis, blk(1, [(0, 3)])]
+    new = [genesis, blk(1, [(2, 4)], sealer=2), blk(2, [(4, 5)], sealer=3)]
     pool.on_canonical_update(old, new)
     assert sorted(pool.pending) == [0, 1]
     assert set(pool.canonical) == {2, 3, 4}
@@ -190,7 +185,7 @@ def random_branches(rng, ids):
 
     def branch():
         return [
-            blk(n, sorted(set(shared + rng.sample(ids, min(len(ids), rng.randrange(6))))))
+            blk(n, runs_of(sorted(set(shared + rng.sample(ids, min(len(ids), rng.randrange(6)))))))
             for n in range(1, rng.randrange(4) + 1)
         ]
 
@@ -219,25 +214,25 @@ def test_mempool_matches_dict_reference_model(seed):
             reference.add(stamped)
         elif op == "pack":
             cap = rng.choice((None, 0, 1, 2, 3, 5))
-            packed = pool.pack_block(cap)
-            assert packed == reference.pack_block(cap)
+            packed = reference.pack_block(cap)
+            assert pool.pack_block(cap) == tuple(runs_of(packed))
             packed_blocks.append(packed)
         elif op == "restore":
             if not packed_blocks:
                 continue
-            # Restore one packed block, or two at once as one tuple, which
-            # then usually has gaps.
+            # Restore one packed block, or two at once as one run list,
+            # which then usually has gaps.
             restored = set()
             for _ in range(min(len(packed_blocks), rng.choice((1, 2)))):
                 restored.update(packed_blocks.pop(rng.randrange(len(packed_blocks))))
-            packed = tuple(sorted(restored))
-            gapped += bool(packed) and packed[-1] - packed[0] + 1 > len(packed)
-            pool.restore(packed)
-            reference.restore(packed, created)
+            runs = tuple(runs_of(sorted(restored)))
+            gapped += len(runs) > 1
+            pool.restore(runs)
+            reference.restore(restored, created)
         else:
             abandoned, adopted = random_branches(rng, ids)
             pool.on_canonical_update(abandoned, adopted)
             reference.on_canonical_update(abandoned, adopted, created)
         assert set(pool.pending) == set(reference.pending) - reference.canonical
         assert set(pool.canonical) == reference.canonical
-    assert gapped, "no restore handed back a non-contiguous tuple"
+    assert gapped, "no restore handed back more than one run"
