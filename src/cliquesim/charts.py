@@ -11,6 +11,9 @@ _PANEL_H = 300
 _MARGIN = 48
 _BAR_GAP = 12
 _MIN_BAR_W = 4
+# Width of one character at font size 10: a bound on the digits and the
+# "S" of a sans-serif face.
+_CHAR_W = 6
 
 
 def _panel(title: str, labels: list[str], values: list[int], x_off: int) -> list[str]:
@@ -21,6 +24,9 @@ def _panel(title: str, labels: list[str], values: list[int], x_off: int) -> list
     n = max(1, len(values))
     gap = min(_BAR_GAP, max(0, (plot_w - _MIN_BAR_W * n) // max(1, n - 1)))
     bar_w = max(1, (plot_w - gap * (n - 1)) // n)
+    # Label every k-th bar, with k large enough that neighbouring labels clear each other.
+    label_w = _CHAR_W * max(len(text) for text in [*labels, *map(str, values)])
+    every = -(-label_w // (bar_w + gap))
     parts = [
         f'<text x="{x_off + _PANEL_W // 2}" y="24" text-anchor="middle" '
         f'font-size="14">{title}</text>',
@@ -41,6 +47,8 @@ def _panel(title: str, labels: list[str], values: list[int], x_off: int) -> list
             f'<rect class="bar" x="{x}" y="{y}" width="{bar_w}" height="{height}" '
             f'fill="#4878a8"/>'
         )
+        if i % every:
+            continue
         parts.append(
             f'<text x="{x + bar_w // 2}" y="{y - 4}" text-anchor="middle" '
             f'font-size="10">{value}</text>'

@@ -353,6 +353,22 @@ def test_chart_bars_stay_inside_their_panels_at_41_sealers(tmp_path):
         left = panel_w * (i // 41)
         x, bar_w = int(bar.get("x")), int(bar.get("width"))
         assert left <= x and x + bar_w <= left + panel_w, (i, x, bar_w)
+    # Labels that share a row must not overprint: 6 px per character bounds
+    # the glyphs of a 10 px sans-serif face, so "S40" is at most 18 px wide.
+    labels = [
+        el for el in svg.iter()
+        if el.tag.endswith("text") and el.get("text-anchor") == "middle" and el.get("font-size") == "10"
+    ]
+    for panel in range(2):
+        for sealer_row in (True, False):
+            row = sorted(
+                (int(el.get("x")), 6 * len(el.text))
+                for el in labels
+                if int(el.get("x")) // panel_w == panel and el.text.startswith("S") == sealer_row
+            )
+            assert len(row) > 1
+            for (x, width), (next_x, next_width) in zip(row, row[1:]):
+                assert next_x - x >= max(width, next_width), (panel, sealer_row, x, next_x)
 
 
 # -- sweep ---------------------------------------------------------------------
