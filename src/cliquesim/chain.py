@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
+from typing import NamedTuple
 
 HASH_SIZE = 32
 
@@ -125,8 +126,7 @@ def hash_header(header: BlockHeader) -> bytes:
     return header.digest
 
 
-@dataclass
-class _Stored:
+class _Stored(NamedTuple):
     header: BlockHeader
     total_difficulty: int
 
@@ -146,7 +146,7 @@ class ChainStore:
             raise ValueError("genesis carries difficulty 0 and no transactions")
         self.genesis = hash_header(genesis)
         self._blocks: dict[bytes, _Stored] = {
-            self.genesis: _Stored(genesis, total_difficulty=0)
+            self.genesis: _Stored(genesis, 0)
         }
         # Leaves of the tree in arrival order: a block becomes a tip when it
         # arrives and is never one again once it has a child.

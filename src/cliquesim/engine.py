@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chain import BlockHeader
 
@@ -134,9 +135,12 @@ def verify_header(
     return None
 
 
-@dataclass(frozen=True)
-class ProposalContext:
-    """Everything a policy needs to plan the next block on a given head."""
+class ProposalContext(NamedTuple):
+    """Everything a policy needs to plan the next block on a given head.
+
+    A node builds one on every head move, so it is a plain tuple; the
+    simulation checks once that ``block_interval_ms`` is positive.
+    """
 
     parent_number: int
     parent_hash: bytes
@@ -144,10 +148,6 @@ class ProposalContext:
     snapshot: SealerSnapshot
     now_ms: int
     block_interval_ms: int
-
-    def __post_init__(self) -> None:
-        if self.block_interval_ms <= 0:
-            raise ValueError("block interval must be positive")
 
     @property
     def next_number(self) -> int:

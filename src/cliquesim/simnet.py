@@ -190,6 +190,7 @@ class Node:
     def _move_head(self, new_head: bytes) -> None:
         abandoned, adopted = self.store.reorg(self.head, new_head)
         self.head = new_head
+        self.mempool.catch_up(self.sim.txs_generated)
         self.mempool.on_canonical_update(abandoned, adopted)
         self.replan()
 
@@ -199,12 +200,12 @@ class Node:
         """Cancel any stale plan and schedule a fresh one on the current head."""
         head_header = self.store.header(self.head)
         ctx = ProposalContext(
-            parent_number=head_header.number,
-            parent_hash=self.head,
-            parent_time_ms=head_header.sim_time_ms,
-            snapshot=self._snapshot_at(self.head),
-            now_ms=self.sim.now,
-            block_interval_ms=self.sim.block_interval_ms,
+            head_header.number,
+            self.head,
+            head_header.sim_time_ms,
+            self._snapshot_at(self.head),
+            self.sim.now,
+            self.sim.block_interval_ms,
         )
         plan = strategies.on_new_head(self.policy, ctx, self.index, self.pending, self.sim.rng)
         if plan is self.pending:
@@ -222,6 +223,7 @@ class Node:
         if plan is not self.pending or self.sim.now > self.sim.t_end:
             return
         self.pending = None
+        self.mempool.catch_up(self.sim.txs_generated)
         tx_runs = self.mempool.pack_block(self.sim.tx_cap)
         header = BlockHeader(
             number=plan.height,
@@ -269,6 +271,8 @@ class Simulation:
             raise ValueError("sealer addresses must be unique")
         if not (len(sealers) == len(policies) == len(flags)):
             raise ValueError("need one policy and one flag set per sealer")
+        if block_interval_ms <= 0:
+            raise ValueError("block interval must be positive")
         self.sealers = sealers
         self.block_interval_ms = block_interval_ms
         self.delay_model = delay_model
@@ -308,13 +312,17 @@ class Simulation:
             self.schedule(self.now + delay, DELIVERY, peer.deliver, header)
 
     def schedule_tx_batches(self, batches: list[tuple[int, range]]) -> None:
+        """Schedule batches that hand out the ids 0, 1, 2, ... in time order.
+
+        A batch only counts its ids into ``txs_generated``. Each node adds
+        the ids below that count to its mempool when it next uses it
+        (``Mempool.catch_up``), so no batch touches a mempool.
+        """
         for at_ms, txs in batches:
             self.schedule(at_ms, DELIVERY, self._add_txs, txs)
 
     def _add_txs(self, txs: range) -> None:
         self.txs_generated += len(txs)
-        for node in self.nodes:
-            node.mempool.add(txs)
 
     def start(self) -> None:
         """Install the first proposal plans (genesis is already everyone's head)."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import (
     ProposalContext,
@@ -52,9 +53,8 @@ class SealerPolicy:
         return cls(forced_difficulty, zero_delay, bypass_recents)
 
 
-@dataclass(frozen=True)
-class ProposalPlan:
-    """One scheduled sealing attempt.
+class ProposalPlan(NamedTuple):
+    """One scheduled sealing attempt, a plain tuple made on every head move.
 
     ``claim_ms`` is the protocol timestamp the block will carry;
     ``fire_at_ms`` is when the sealer actually signs and broadcasts. An
@@ -98,14 +98,7 @@ def plan_proposal(
     else:
         fire_at = claim + wiggle_delay(n_sealers, rng)
     eligible = policy.bypass_recents or not signed_recently(ctx.snapshot, self_index)
-    return ProposalPlan(
-        height=height,
-        parent=ctx.parent_hash,
-        difficulty=difficulty,
-        claim_ms=claim,
-        fire_at_ms=fire_at,
-        eligible=eligible,
-    )
+    return ProposalPlan(height, ctx.parent_hash, difficulty, claim, fire_at, eligible)
 
 
 def on_new_head(

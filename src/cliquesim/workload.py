@@ -133,14 +133,29 @@ class Mempool:
     in time order. Both sets are ``IdRanges`` and they are disjoint: an id
     joins ``pending`` only when it is not canonical, so a pack never has to
     skip one. Ids packed into an own block not yet admitted are in neither.
+
+    New ids arrive lazily: ids below ``frontier`` have been added, and
+    ``catch_up`` adds the rest of those created so far in one range. The
+    owner catches up just before every pack and canonical update, so each
+    of them sees the same sets as if every batch had been added when it
+    was created. A restore needs no catch-up: it hands back ids of an own
+    pack, all below the frontier, so it and a later catch-up touch
+    disjoint ids.
     """
 
     pending: IdRanges = field(default_factory=IdRanges)
     canonical: IdRanges = field(default_factory=IdRanges)
+    frontier: int = 0
 
     def add(self, txs: range) -> None:
         """Add a batch of new ids, a range of step 1."""
         self.pending.add(txs.start, txs.stop)
+        self.frontier = max(self.frontier, txs.stop)
+
+    def catch_up(self, generated: int) -> None:
+        """Add the ids from ``frontier`` up to ``generated``, exclusive, if there are any."""
+        if generated > self.frontier:
+            self.add(range(self.frontier, generated))
 
     def pack_block(self, cap: int | None = None) -> tuple[tuple[int, int], ...]:
         """Pop the oldest pending txs, at most ``cap`` of them, as a block's ``tx_runs``.

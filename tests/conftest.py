@@ -102,6 +102,22 @@ def children(store: ChainStore, block_hash: bytes) -> list[bytes]:
     return [h for h in iter_hashes(store) if store.header(h).parent == block_hash]
 
 
+def pending_ids(sim, node) -> set[int]:
+    """``node``'s pending tx ids as of now, read without catching its mempool up.
+
+    A node adds new ids lazily: those from its mempool's ``frontier`` up
+    to ``sim.txs_generated`` are created but not yet added, and count as
+    pending. Calling ``Mempool.catch_up`` here would hide a catch-up the
+    simulator missed, so this only reads, and checks that the added ids
+    all lie below the frontier.
+    """
+    pool = node.mempool
+    pending = set(pool.pending)
+    assert pool.frontier <= sim.txs_generated, f"node {node.index} at {sim.now} ms"
+    assert max(pending, default=-1) < pool.frontier, f"node {node.index} at {sim.now} ms"
+    return pending | set(range(pool.frontier, sim.txs_generated))
+
+
 def in_flight(sim, node) -> set[int]:
     """Tx ids of ``node``'s own blocks still queued for release at ``node``.
 

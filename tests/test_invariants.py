@@ -9,13 +9,15 @@ chain store's walks hand back, which must grow with the number of
 dispatched events, not with the length of the chain; the snapshots built,
 which must be at most one per block whatever the committee size; the
 bytes a pack allocates when ``tx_cap`` binds, which must not grow with
-the pending pool; and the bytes a pack or a header digest allocates,
-which must not grow with the ids per block.
+the pending pool; the bytes a pack or a header digest allocates,
+which must not grow with the ids per block; and the mempool calls of a
+tx batch, which must be none.
 """
 
 import dataclasses
 import functools
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -24,13 +26,15 @@ from cliquesim import (
     BlockHeader,
     ChainStore,
     Mempool,
+    Simulation,
     build_simulation,
     parse_scenario,
     preset_config,
     snapshot_for_chain,
 )
+from cliquesim.simnet import Node
 
-from conftest import brute_force_head, iter_hashes, short_preset
+from conftest import brute_force_head, iter_hashes, pending_ids, short_preset
 
 # Every ChainStore method that walks parent pointers and returns headers.
 WALKS = ("canonical_chain", "reorg", "chain_tail")
@@ -72,7 +76,7 @@ def test_end_of_run_node_invariants(config):
         chain = node.store.canonical_chain(node.head)
         assert node.head == brute_force_head(node.store)
         assert set(node.mempool.canonical) == {tx for header in chain for tx in header.tx_ids}
-        assert set(node.mempool.canonical).isdisjoint(node.mempool.pending)
+        assert set(node.mempool.canonical).isdisjoint(pending_ids(sim, node))
         n_sealers = len(sim.sealers)
         assert sim.snapshots[node.head] == snapshot_for_chain(n_sealers, chain)
         for h in iter_hashes(node.store):
@@ -131,6 +135,54 @@ def test_snapshot_built_once_per_block(monkeypatch, config):
     sim.run_until(config.duration_ms)
     blocks = {h for node in sim.nodes for h in iter_hashes(node.store)}
     assert calls <= len(blocks), f"{calls} snapshots built for {len(blocks)} distinct blocks"
+
+
+def test_tx_batches_touch_no_mempool(monkeypatch):
+    """A tx batch raises one counter; a node adds the new ids when it next uses its mempool.
+
+    On ``fixed`` at N = 21 a batch that went to every mempool would cost
+    21 ``Mempool.add`` calls. Here ``_add_txs`` makes no mempool call at
+    all, and a node's adds are bounded by the calls that use its mempool:
+    its head moves, its seal timers and its own rejected blocks' restores.
+    """
+    config = FIXED_N21
+    calls: Counter[tuple[int, str]] = Counter()  # (id of node or mempool, method) -> calls
+    in_batch = mempool_calls_in_batches = 0
+
+    def counting(owner, name):
+        method = getattr(owner, name)
+
+        def wrapper(self, *args, **kwargs):
+            nonlocal in_batch, mempool_calls_in_batches
+            calls[id(self), name] += 1
+            if owner is Mempool:
+                mempool_calls_in_batches += in_batch
+            in_batch += owner is Simulation
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                in_batch -= owner is Simulation
+
+        return wrapper
+
+    for owner, name in (
+        (Simulation, "_add_txs"),
+        (Node, "_move_head"),
+        (Node, "seal"),
+        (Mempool, "add"),
+        (Mempool, "pack_block"),
+        (Mempool, "restore"),
+        (Mempool, "on_canonical_update"),
+    ):
+        monkeypatch.setattr(owner, name, counting(owner, name))
+    sim = build_simulation(config)
+    sim.run_until(config.duration_ms)
+    assert calls[id(sim), "_add_txs"] == config.duration_ms // 1000
+    assert mempool_calls_in_batches == 0, "a tx batch called a mempool method"
+    for node in sim.nodes:
+        pool = id(node.mempool)
+        catch_ups = calls[id(node), "_move_head"] + calls[id(node), "seal"] + calls[pool, "restore"]
+        assert calls[pool, "add"] <= catch_ups, f"node {node.index}: {calls[pool, 'add']} adds, {catch_ups} catch-ups"
 
 
 def _pack_bytes_per_block(monkeypatch, minutes):

@@ -18,7 +18,7 @@ from cliquesim import (
 )
 from cliquesim.simnet import DELIVERY, SEAL, Node
 
-from conftest import in_flight, short_preset
+from conftest import in_flight, pending_ids, short_preset
 
 
 def make_sim(n=5, flags=FIXED, delay=(0, 0), seed=0, policies=None):
@@ -260,6 +260,18 @@ def test_sealer_set_must_be_non_empty_and_unique(sealers, message):
         )
 
 
+def test_block_interval_must_be_positive():
+    with pytest.raises(ValueError, match="block interval"):
+        Simulation(
+            sealers=("0xaa",),
+            policies=[SealerPolicy.honest()],
+            flags=[FIXED],
+            block_interval_ms=0,
+            delay_model=DelayModel(0, 0),
+            seed=0,
+        )
+
+
 def test_nonconvergence_detected_at_drain():
     sim = make_sim(n=2)
     sim.nodes[0].deliver(sealed_by(sim, 1, 1, 2, time_ms=0))
@@ -362,7 +374,7 @@ def test_tx_conservation_per_node_honest():
     sim = build_simulation(short_preset("honest", 120_000))
     sim.run_until(120_000)
     for node in sim.nodes:
-        pending, canonical = set(node.mempool.pending), set(node.mempool.canonical)
+        pending, canonical = pending_ids(sim, node), set(node.mempool.canonical)
         assert not pending & canonical
         assert pending | canonical == set(range(sim.txs_generated))
 
@@ -371,7 +383,7 @@ def test_tx_conservation_per_node_attack():
     sim = build_simulation(short_preset("attack", 120_000))
     sim.run_until(120_000)
     for node in sim.nodes:
-        pending, canonical = set(node.mempool.pending), set(node.mempool.canonical)
+        pending, canonical = pending_ids(sim, node), set(node.mempool.canonical)
         assert not pending & canonical
         assert pending | canonical | in_flight(sim, node) == set(range(sim.txs_generated))
 
@@ -383,7 +395,8 @@ def test_tx_conservation_after_every_event(preset, monkeypatch):
     A rejected own block must hand its txs back at once: honest sealers
     would include the dropped ids later, so an end-of-run check misses it.
     Every event handler is wrapped, and the check runs when the outermost
-    call returns (``seal`` delivers the new block to its own node).
+    call returns (``seal`` delivers the new block to its own node). Ids a
+    node has not caught up to yet count as pending (``pending_ids``).
     """
     sim = None
     depth = checks = 0
@@ -399,7 +412,7 @@ def test_tx_conservation_after_every_event(preset, monkeypatch):
             checks += 1
             generated = set(range(sim.txs_generated))
             for node in sim.nodes:
-                pending, canonical = set(node.mempool.pending), set(node.mempool.canonical)
+                pending, canonical = pending_ids(sim, node), set(node.mempool.canonical)
                 assert pending.isdisjoint(canonical), f"node {node.index} at {sim.now} ms"
                 assert pending | canonical | in_flight(sim, node) == generated, f"node {node.index} at {sim.now} ms"
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -196,13 +195,13 @@ def reference_plan(policy, ctx, sealer, rng, history):
         ),
     )
     if policy.forced_difficulty is not None:
-        plan = dataclasses.replace(plan, difficulty=policy.forced_difficulty)
+        plan = plan._replace(difficulty=policy.forced_difficulty)
     if policy.zero_delay:
-        plan = dataclasses.replace(plan, fire_at_ms=ctx.now_ms)
+        plan = plan._replace(fire_at_ms=ctx.now_ms)
     elif not in_turn:
-        plan = dataclasses.replace(plan, fire_at_ms=plan.claim_ms + rng.randint(0, window * 500))
+        plan = plan._replace(fire_at_ms=plan.claim_ms + rng.randint(0, window * 500))
     if policy.bypass_recents:
-        plan = dataclasses.replace(plan, eligible=True)
+        plan = plan._replace(eligible=True)
     return plan
 
 
@@ -233,15 +232,12 @@ def test_plan_matches_honest_plan_with_overrides(policy):
             for number, signer in history
         ]
         parent_time = parent_number * 5000 + rng.randrange(3000)
-        ctx = dataclasses.replace(
-            make_ctx(
-                parent_number=parent_number,
-                now_ms=parent_time + rng.choice((0, rng.randrange(12_000))),
-                n=n,
-                parent_time=parent_time,
-            ),
-            snapshot=snapshot_for_chain(n, chain),
-        )
+        ctx = make_ctx(
+            parent_number=parent_number,
+            now_ms=parent_time + rng.choice((0, rng.randrange(12_000))),
+            n=n,
+            parent_time=parent_time,
+        )._replace(snapshot=snapshot_for_chain(n, chain))
         sealer = rng.randrange(n)
         seed = rng.randrange(2**32)
         actual_rng, expected_rng = random.Random(seed), random.Random(seed)

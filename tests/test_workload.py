@@ -194,12 +194,28 @@ def random_branches(rng, ids):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_mempool_matches_dict_reference_model(seed):
+    """The reference adds each batch when it is created; the pool catches up before each use.
+
+    A batch only raises ``generated``, as a tx batch event raises the
+    simulation's count, and the pool adds the new ids in one
+    ``catch_up`` just before a pack or canonical update, but not before
+    a restore. After every step the pool's pending ids plus those from
+    its frontier up to ``generated`` must be the reference's pending ids.
+    """
     rng = random.Random(seed)
-    batches = iter(tx_batch_schedule(rng.randrange(1, 12), rng.randrange(20, 60) * 1000))
+    rate = rng.randrange(1, 12)
+    batches = iter(tx_batch_schedule(rate, rng.randrange(20, 60) * 1000))
     pool, reference = Mempool(), ReferenceMempool()
     created: dict[int, int] = {}
+    generated = 0
     packed_blocks: list[tuple[int, ...]] = []
-    gapped = 0
+    gapped = spanned = 0
+
+    def catch_up():
+        nonlocal spanned
+        spanned += generated - pool.frontier > rate
+        pool.catch_up(generated)
+
     for _ in range(300):
         op = rng.choice(("add", "add", "pack", "pack", "restore", "update"))
         ids = sorted(created)
@@ -210,11 +226,12 @@ def test_mempool_matches_dict_reference_model(seed):
             at_ms, txs = batch
             stamped = [(tx, at_ms) for tx in txs]
             created.update(stamped)
-            pool.add(txs)
+            generated = txs.stop
             reference.add(stamped)
         elif op == "pack":
             cap = rng.choice((None, 0, 1, 2, 3, 5))
             packed = reference.pack_block(cap)
+            catch_up()
             assert pool.pack_block(cap) == tuple(runs_of(packed))
             packed_blocks.append(packed)
         elif op == "restore":
@@ -231,8 +248,13 @@ def test_mempool_matches_dict_reference_model(seed):
             reference.restore(restored, created)
         else:
             abandoned, adopted = random_branches(rng, ids)
+            catch_up()
             pool.on_canonical_update(abandoned, adopted)
             reference.on_canonical_update(abandoned, adopted, created)
-        assert set(pool.pending) == set(reference.pending) - reference.canonical
+        pending = set(pool.pending)
+        assert max(pending, default=-1) < pool.frontier
+        assert pool.frontier <= generated
+        assert pending | set(range(pool.frontier, generated)) == set(reference.pending) - reference.canonical
         assert set(pool.canonical) == reference.canonical
     assert gapped, "no restore handed back more than one run"
+    assert spanned, "no catch-up added more than one batch"
