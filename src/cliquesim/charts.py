@@ -16,11 +16,12 @@ _MIN_BAR_W = 4
 _CHAR_W = 6
 
 
-def _panel(title: str, labels: list[str], values: list[int], x_off: int) -> list[str]:
+def _panel(title: str, labels: list[str], values: list[int], x_off: int, panel_w: int) -> list[str]:
     peak = max(values) if max(values, default=0) > 0 else 1
-    plot_w = _PANEL_W - 2 * _MARGIN
+    plot_w = panel_w - 2 * _MARGIN
     plot_h = _PANEL_H - 2 * _MARGIN
-    # Up to 21 bars keep the full gap; more shrink the gap, then the bars (324 fit).
+    # Up to 21 bars keep the full gap; more shrink the gap, then the bars
+    # (324 fit); past that the panel widens so each bar keeps 1 px.
     n = max(1, len(values))
     gap = min(_BAR_GAP, max(0, (plot_w - _MIN_BAR_W * n) // max(1, n - 1)))
     bar_w = max(1, (plot_w - gap * (n - 1)) // n)
@@ -28,10 +29,10 @@ def _panel(title: str, labels: list[str], values: list[int], x_off: int) -> list
     label_w = _CHAR_W * max(len(text) for text in [*labels, *map(str, values)])
     every = -(-label_w // (bar_w + gap))
     parts = [
-        f'<text x="{x_off + _PANEL_W // 2}" y="24" text-anchor="middle" '
+        f'<text x="{x_off + panel_w // 2}" y="24" text-anchor="middle" '
         f'font-size="14">{title}</text>',
         f'<line x1="{x_off + _MARGIN}" y1="{_PANEL_H - _MARGIN}" '
-        f'x2="{x_off + _PANEL_W - _MARGIN}" y2="{_PANEL_H - _MARGIN}" stroke="black"/>',
+        f'x2="{x_off + panel_w - _MARGIN}" y2="{_PANEL_H - _MARGIN}" stroke="black"/>',
         f'<line x1="{x_off + _MARGIN}" y1="{_MARGIN}" '
         f'x2="{x_off + _MARGIN}" y2="{_PANEL_H - _MARGIN}" stroke="black"/>',
         f'<text x="{x_off + _MARGIN - 6}" y="{_MARGIN + 4}" text-anchor="end" '
@@ -67,13 +68,15 @@ def emit_chart(report: RunReport, path: str | Path) -> None:
         ("Canonical blocks per sealer", [s.canonical_blocks for s in report.per_sealer]),
         ("Canonical transactions per sealer", [s.canonical_txs for s in report.per_sealer]),
     ]
-    width = _PANEL_W * len(panels)
+    # Wider than the fixed width only once 1 px bars no longer fit the plot.
+    panel_w = max(_PANEL_W, len(labels) + 2 * _MARGIN)
+    width = panel_w * len(panels)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{_PANEL_H}" viewBox="0 0 {width} {_PANEL_H}">',
         f'<rect x="0" y="0" width="{width}" height="{_PANEL_H}" fill="white"/>',
     ]
     for i, (title, values) in enumerate(panels):
-        parts.extend(_panel(title, labels, values, i * _PANEL_W))
+        parts.extend(_panel(title, labels, values, i * panel_w, panel_w))
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="ascii")

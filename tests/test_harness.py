@@ -340,19 +340,28 @@ def test_chart_single_sealer(tmp_path):
     assert out.read_text().count('class="bar"') == 2
 
 
-def test_chart_bars_stay_inside_their_panels_at_41_sealers(tmp_path):
-    report = run_scenario(ScenarioConfig(n_sealers=41, duration_ms=60_000))
+@pytest.mark.parametrize("n", [41, 325, 400])
+def test_chart_bars_stay_inside_their_plots(tmp_path, n):
+    """From N = 325 the 1 px bars of a fixed-width plot no longer fit; the panel widens."""
+    report = run_scenario(ScenarioConfig(n_sealers=n, duration_ms=60_000))
     out = tmp_path / "wide.svg"
     emit_chart(report, out)
     svg = ElementTree.parse(out).getroot()
     width = int(svg.get("width"))
     bars = [el for el in svg.iter() if el.get("class") == "bar"]
-    assert len(bars) == 2 * 41
+    assert len(bars) == 2 * n
     panel_w = width // 2
+    # Each panel's x axis spans its plot.
+    axes = [
+        (int(el.get("x1")), int(el.get("x2")))
+        for el in svg.iter()
+        if el.tag.endswith("line") and el.get("y1") == el.get("y2")
+    ]
+    assert [left // panel_w for left, _ in axes] == [0, 1]
     for i, bar in enumerate(bars):
-        left = panel_w * (i // 41)
+        left, right = axes[i // n]
         x, bar_w = int(bar.get("x")), int(bar.get("width"))
-        assert left <= x and x + bar_w <= left + panel_w, (i, x, bar_w)
+        assert bar_w >= 1 and left <= x and x + bar_w <= right, (i, x, bar_w)
     # Labels that share a row must not overprint: 6 px per character bounds
     # the glyphs of a 10 px sans-serif face, so "S40" is at most 18 px wide.
     labels = [
