@@ -54,7 +54,7 @@ from .harness import (
     sealer_addresses,
 )
 from .simnet import DelayModel, NonConvergenceError, Simulation
-from .strategies import ProposalPlan, SealerPolicy, on_new_head, plan_proposal
+from .strategies import ProposalPlan, SealerPolicy, plan_proposal
 from .workload import Mempool, tx_batch_schedule
 
 __version__ = "0.1.0"
@@ -96,7 +96,6 @@ __all__ = [
     "leader_index",
     "load_scenario",
     "make_genesis",
-    "on_new_head",
     "parse_scenario",
     "plan_proposal",
     "preset_config",

@@ -2,7 +2,7 @@
 
 A single priority queue holds ``(time, rank, seq, action, arg)`` entries
 and runs each as ``action(arg)``: ``Node.deliver`` with an arriving
-header, ``Node._release`` with a buffered one, ``Node.seal`` with the plan
+header, ``Node._admit`` with a buffered one, ``Node.seal`` with the plan
 its timer was set for, or ``Simulation._add_txs`` with a tx batch. ``seq``
 is assigned at scheduling, so entries never tie and two runs with the same
 seed replay the exact same event sequence. One shared seeded generator is
@@ -115,11 +115,8 @@ class Node:
         self.pending: ProposalPlan | None = None
         # Blocks whose parent we have not seen yet, keyed by that parent.
         self.orphans: dict[bytes, list[BlockHeader]] = {}
-        # Blocks whose claimed time is still in the future.
-        self.future_pending: set[bytes] = set()
         self.seen: set[bytes] = set()
         self.arrivals = 0
-        self.accepted = 0
         self.rejected = 0
         self.duplicates = 0
 
@@ -137,21 +134,17 @@ class Node:
             self.duplicates += 1
             return
         self.seen.add(block_hash)
-        self._admit(header, block_hash)
+        self._admit(header)
 
-    def _release(self, header: BlockHeader) -> None:
-        """Import a block buffered by ``_admit`` once its claimed time has come.
+    def _admit(self, header: BlockHeader) -> None:
+        """Import ``header``, or hold it until its parent or its claimed time.
 
-        The block already counted as an arrival when it was delivered.
+        A block claimed for a later time waits in the event queue as an
+        ``_admit`` entry due at that time; a block whose parent is missing
+        waits in ``orphans`` and is admitted right after the parent.
         """
-        block_hash = hash_header(header)
-        self.future_pending.discard(block_hash)
-        self._admit(header, block_hash)
-
-    def _admit(self, header: BlockHeader, block_hash: bytes) -> None:
         if header.sim_time_ms > self.sim.now:
-            self.future_pending.add(block_hash)
-            self.sim.schedule(header.sim_time_ms, DELIVERY, self._release, header)
+            self.sim.schedule(header.sim_time_ms, DELIVERY, self._admit, header)
             return
         if header.parent not in self.store:
             self.orphans.setdefault(header.parent, []).append(header)
@@ -163,13 +156,12 @@ class Node:
             if header.sealer_index == self.index:
                 self.mempool.restore(header.tx_runs)
             return
-        self.store.extend(header)
-        self.accepted += 1
+        block_hash = self.store.extend(header)
         new_head = self.store.select_head()
         if new_head != self.head:
             self._move_head(new_head)
         for child in self.orphans.pop(block_hash, []):
-            self._admit(child, hash_header(child))
+            self._admit(child)
 
     def _snapshot_at(self, block_hash: bytes) -> SealerSnapshot:
         """Snapshot of the recent signers on the branch ending at ``block_hash``.
@@ -207,10 +199,7 @@ class Node:
             self.sim.now,
             self.sim.block_interval_ms,
         )
-        plan = strategies.on_new_head(self.policy, ctx, self.index, self.pending, self.sim.rng)
-        if plan is self.pending:
-            return
-        self.pending = plan
+        plan = self.pending = strategies.plan_proposal(self.policy, ctx, self.index, self.sim.rng)
         if plan.eligible:
             self.sim.schedule(plan.fire_at_ms, SEAL, self.seal, plan)
 
@@ -242,13 +231,17 @@ class Node:
         self.deliver(header)
 
     def counters(self) -> dict[str, int]:
+        """Arrival outcomes. ``accepted`` is read off the store (every block
+        but genesis) and ``futures_pending`` off the event queue (this node's
+        ``_admit`` entries), so neither is kept a second time."""
+        admit = self._admit
         return {
             "arrivals": self.arrivals,
-            "accepted": self.accepted,
+            "accepted": len(self.store) - 1,
             "rejected": self.rejected,
             "duplicates": self.duplicates,
             "orphans_pending": sum(len(v) for v in self.orphans.values()),
-            "futures_pending": len(self.future_pending),
+            "futures_pending": sum(action == admit for _, _, _, action, _ in self.sim._queue),
         }
 
 
@@ -273,6 +266,8 @@ class Simulation:
             raise ValueError("need one policy and one flag set per sealer")
         if block_interval_ms <= 0:
             raise ValueError("block interval must be positive")
+        if tx_cap is not None and tx_cap < 0:
+            raise ValueError("tx cap must be >= 0")
         self.sealers = sealers
         self.block_interval_ms = block_interval_ms
         self.delay_model = delay_model

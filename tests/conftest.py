@@ -119,7 +119,7 @@ def pending_ids(sim, node) -> set[int]:
 
 
 def in_flight(sim, node) -> set[int]:
-    """Tx ids of ``node``'s own blocks still queued for release at ``node``.
+    """Tx ids of ``node``'s own blocks still queued for admission at ``node``.
 
     A zero-delay sealer's block is buffered at its own node until its claim
     time; until then its tx ids are neither pending nor canonical there.
@@ -127,6 +127,6 @@ def in_flight(sim, node) -> set[int]:
     return {
         tx
         for _, _, _, action, header in sim._queue
-        if action == node._release and header.sealer_index == node.index
+        if action == node._admit and header.sealer_index == node.index
         for tx in header.tx_ids
     }

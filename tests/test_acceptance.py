@@ -28,7 +28,7 @@ from cliquesim import (
     verify_header,
 )
 
-from conftest import children, grow, iter_hashes
+from conftest import brute_force_head, grow
 
 
 @pytest.fixture(scope="module")
@@ -130,26 +130,6 @@ def test_criterion_4_block_log_signatures(honest_run, attack_run):
 
 
 def test_criterion_5_fork_choice_oracle_equivalence():
-    def path_difficulty(store, tip):
-        total = 0
-        header = store.header(tip)
-        while not header.is_genesis():
-            total += header.difficulty
-            header = store.header(header.parent)
-        return total
-
-    def brute_force_head(store):
-        leaves = []
-        stack = [store.genesis]
-        while stack:
-            h = stack.pop()
-            below = children(store, h)
-            stack.extend(below)
-            if not below:
-                leaves.append(h)
-        arrival = {h: seq for seq, h in enumerate(iter_hashes(store))}
-        return max(leaves, key=lambda h: (path_difficulty(store, h), -arrival[h]))
-
     rng = random.Random(1234)
     mismatches = 0
     for _ in range(200):

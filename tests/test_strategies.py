@@ -12,7 +12,6 @@ from cliquesim import (
     SealerSnapshot,
     VULNERABLE,
     make_genesis,
-    on_new_head,
     plan_proposal,
     snapshot_for_chain,
     verify_header,
@@ -50,6 +49,7 @@ def test_honest_leader_plan():
     assert plan.claim_ms == 5000
     assert plan.eligible is True
     assert plan.height == 1
+    assert plan.parent == b"\xaa" * 32
 
 
 def test_honest_non_leader_plan_has_wiggle():
@@ -128,37 +128,6 @@ def test_honest_plans_pass_fixed_verification():
             continue
         header = header_from_plan(plan, sealer)
         assert verify_header(header, ctx.snapshot, FIXED) is None
-
-
-def test_on_new_head_keeps_plan_for_same_parent():
-    ctx = make_ctx()
-    rng = random.Random(0)
-    pending = plan_proposal(SealerPolicy.honest(), ctx, 1, rng)
-    assert on_new_head(SealerPolicy.honest(), ctx, 1, pending, rng) is pending
-
-
-def test_on_new_head_replans_for_new_parent():
-    rng = random.Random(0)
-    old_ctx = make_ctx(parent_number=3)
-    pending = plan_proposal(SealerPolicy.honest(), old_ctx, 1, rng)
-    new_ctx = ProposalContext(
-        parent_number=4,
-        parent_hash=b"\xbb" * 32,
-        parent_time_ms=20_000,
-        snapshot=old_ctx.snapshot,
-        now_ms=20_010,
-        block_interval_ms=5000,
-    )
-    plan = on_new_head(SealerPolicy.honest(), new_ctx, 1, pending, rng)
-    assert plan is not pending
-    assert plan.height == 5
-    assert plan.parent == b"\xbb" * 32
-
-
-def test_on_new_head_plans_fresh_when_nothing_pending():
-    ctx = make_ctx()
-    plan = on_new_head(SealerPolicy.honest(), ctx, 1, None, random.Random(0))
-    assert plan.height == 1
 
 
 def test_plan_fire_never_in_the_past():
