@@ -21,7 +21,6 @@ from .harness import (
     preset_text,
     run_scenario,
     run_sweep,
-    tracked_sealer,
 )
 from .simnet import NonConvergenceError
 
@@ -122,11 +121,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario)
     seeds = _parse_seed_range(args.seeds)
     reports, summary = run_sweep(config, seeds)
-    for seed, report in zip(seeds, reports):
-        idx = tracked_sealer(config, report)
+    for seed, report, idx, share in zip(seeds, reports, summary["sealers"], summary["shares"]):
         print(
             f"seed {seed}: height {report.totals['canonical_height']}, "
-            f"sealer {idx} share {report.sealer_share(idx):.3f}"
+            f"sealer {idx} share {share:.3f}"
         )
     label = "attacker share" if config.malicious_indices() else "top sealer share"
     print(

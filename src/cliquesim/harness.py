@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -47,8 +48,10 @@ class SealerSpec:
     flags: VerifyFlags | None = None  # None -> scenario-wide flags
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """One run's settings, validated on construction (``replace`` included)."""
+
     n_sealers: int
     block_interval_ms: int = 5000
     duration_ms: int = 1_800_000
@@ -60,7 +63,7 @@ class ScenarioConfig:
     tx_cap: int | None = None
     sealer_specs: dict[int, SealerSpec] = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_sealers < 1:
             raise ValidationError("must be >= 1", "n_sealers")
         if self.block_interval_ms <= 0:
@@ -201,9 +204,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     checks = {f.name: values.pop(f.name) for f in fields(VerifyFlags) if f.name in values}
     base = PRESETS.get(values.pop("verify", "fixed"), FIXED)  # "custom" starts from fixed
-    config = ScenarioConfig(**values, flags=replace(base, **checks), sealer_specs=specs)
-    config.validate()
-    return config
+    return ScenarioConfig(**values, flags=replace(base, **checks), sealer_specs=specs)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -312,7 +313,6 @@ class RunReport:
 
 def build_simulation(config: ScenarioConfig) -> Simulation:
     """Construct a ready-to-run simulation: genesis, nodes, tx stream, plans."""
-    config.validate()
     sim = Simulation(
         sealers=sealer_addresses(config.seed, config.n_sealers),
         policies=config.policies(),
@@ -345,17 +345,18 @@ def assemble_report(config: ScenarioConfig, result: SimResult) -> RunReport:
     for header in result.canonical[1:]:
         blocks[header.sealer_index] += 1
         txs[header.sealer_index] += header.tx_count
+    rejections = sorted(sum((node.rejections for node in result.nodes), Counter()).items())
     per_sealer = [
         SealerReport(
             index=i,
             address=result.sealers[i],
             canonical_blocks=blocks[i],
             canonical_txs=txs[i],
-            attempts=result.tallies[i].attempts,
-            leader_attempts=result.tallies[i].leader_attempts,
-            rejections=dict(sorted(result.tallies[i].rejections.items())),
+            attempts=node.attempts,
+            leader_attempts=node.leader_attempts,
+            rejections={reason: n for (sealer, reason), n in rejections if sealer == i},
         )
-        for i in range(config.n_sealers)
+        for i, node in enumerate(result.nodes)
     ]
     totals = {
         "canonical_height": result.canonical[-1].number,
@@ -367,7 +368,7 @@ def assemble_report(config: ScenarioConfig, result: SimResult) -> RunReport:
         block_log=rows,
         per_sealer=per_sealer,
         totals=totals,
-        nodes=result.node_counters,
+        nodes=[node.counters() for node in result.nodes],
     )
 
 
@@ -390,16 +391,21 @@ def run_sweep(config: ScenarioConfig, seeds: list[int]) -> tuple[list[RunReport]
     """Rerun ``config`` across ``seeds`` and aggregate the attacker's share.
 
     With no malicious sealer configured, the largest per-sealer share of
-    each run is aggregated instead.
+    each run is aggregated instead. The summary's ``sealers`` and ``shares``
+    give each seed's tracked sealer and its share, in ``seeds`` order.
     """
     reports = []
+    sealers = []
     shares = []
     for seed in seeds:
         report = run_scenario(replace(config, seed=seed))
         reports.append(report)
-        shares.append(report.sealer_share(tracked_sealer(config, report)))
+        sealers.append(tracked_sealer(config, report))
+        shares.append(report.sealer_share(sealers[-1]))
     summary = {
         "seeds": list(seeds),
+        "sealers": sealers,
+        "shares": shares,
         "mean_share": sum(shares) / len(shares) if shares else 0.0,
         "min_share": min(shares) if shares else 0.0,
         "max_share": max(shares) if shares else 0.0,

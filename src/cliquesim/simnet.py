@@ -16,7 +16,9 @@ cancels instead of racing its own stale plan.
 Network model: full-mesh broadcast among N sealer nodes with independent
 uniform per-link delays and no message loss (partial synchrony: everything
 is eventually delivered). Each node keeps its own chain store, mempool and
-head; nodes share only the wire and the run's sealer-snapshot memo. Sharing
+head, and owns the run's tallies of what happened at it (its seal attempts,
+the blocks it rejected); reports derive per-sealer counts from the nodes.
+Nodes share only the wire and the run's sealer-snapshot memo. Sharing
 the memo is sound because a block hash commits to its parent hash and so
 fixes the whole branch: every node that holds the block builds the same
 snapshot at it.
@@ -34,7 +36,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from . import strategies
@@ -77,25 +79,20 @@ class DelayModel:
 
 
 @dataclass
-class SealerTally:
-    """Per-sealer attempt and rejection bookkeeping for a run."""
-
-    attempts: int = 0
-    leader_attempts: int = 0
-    rejections: Counter[str] = field(default_factory=Counter)
-
-
-@dataclass
 class SimResult:
     canonical: list[BlockHeader]
     sealers: tuple[str, ...]
-    tallies: list[SealerTally]
-    node_counters: list[dict[str, int]]
+    nodes: list[Node]
     txs_generated: int
 
 
 class Node:
-    """One sealer's local view: chain, mempool, pending plan."""
+    """One sealer's local view: chain, mempool, pending plan.
+
+    The node is also the run's only record of what happened at it: its own
+    seal attempts (node i is sealer i) and every block it rejected, keyed by
+    ``(sealer index, reason)``. Reports sum these; nothing else keeps them.
+    """
 
     def __init__(
         self,
@@ -117,8 +114,10 @@ class Node:
         self.orphans: dict[bytes, list[BlockHeader]] = {}
         self.seen: set[bytes] = set()
         self.arrivals = 0
-        self.rejected = 0
         self.duplicates = 0
+        self.attempts = 0
+        self.leader_attempts = 0
+        self.rejections: Counter[tuple[int, str]] = Counter()
 
     # -- delivery ----------------------------------------------------------
 
@@ -151,8 +150,7 @@ class Node:
             return
         reason = verify_header(header, self._snapshot_at(header.parent), self.flags)
         if reason is not None:
-            self.rejected += 1
-            self.sim.tallies[header.sealer_index].rejections[reason.value] += 1
+            self.rejections[header.sealer_index, reason.value] += 1
             if header.sealer_index == self.index:
                 self.mempool.restore(header.tx_runs)
             return
@@ -223,10 +221,9 @@ class Node:
             sim_time_ms=plan.claim_ms,
             tx_runs=tx_runs,
         )
-        tally = self.sim.tallies[self.index]
-        tally.attempts += 1
+        self.attempts += 1
         if self.index == leader_index(plan.height, len(self.sim.sealers)):
-            tally.leader_attempts += 1
+            self.leader_attempts += 1
         self.sim.broadcast(self.index, header)
         self.deliver(header)
 
@@ -238,7 +235,7 @@ class Node:
         return {
             "arrivals": self.arrivals,
             "accepted": len(self.store) - 1,
-            "rejected": self.rejected,
+            "rejected": self.rejections.total(),
             "duplicates": self.duplicates,
             "orphans_pending": sum(len(v) for v in self.orphans.values()),
             "futures_pending": sum(action == admit for _, _, _, action, _ in self.sim._queue),
@@ -277,7 +274,6 @@ class Simulation:
         self.t_end = 0
         self._queue: list[tuple[int, int, int, Callable[[Any], None], Any]] = []
         self._next_seq = 0
-        self.tallies = [SealerTally() for _ in sealers]
         self.txs_generated = 0
         self.snapshots: dict[bytes, SealerSnapshot] = {}  # block hash -> snapshot at it
         genesis = make_genesis()
@@ -344,8 +340,7 @@ class Simulation:
         return SimResult(
             canonical=self.nodes[0].store.canonical_chain(self.nodes[0].head),
             sealers=self.sealers,
-            tallies=self.tallies,
-            node_counters=[node.counters() for node in self.nodes],
+            nodes=self.nodes,
             txs_generated=self.txs_generated,
         )
 

@@ -39,10 +39,6 @@ class SealerPolicy:
         return self.forced_difficulty is not None or self.zero_delay or self.bypass_recents
 
     @classmethod
-    def honest(cls) -> "SealerPolicy":
-        return cls()
-
-    @classmethod
     def malicious(
         cls,
         forced_difficulty: int = 2,

@@ -49,6 +49,14 @@ def test_zero_sealers_rejected():
         parse_scenario("n_sealers = 0\n")
 
 
+def test_replace_validates_the_new_config():
+    with pytest.raises(ValidationError) as err:
+        dataclasses.replace(preset_config("honest"), n_sealers=0)
+    assert (str(err.value), err.value.field) == ("n_sealers: must be >= 1", "n_sealers")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        preset_config("fixed").n_sealers = 2  # would orphan the [sealer 2] section
+
+
 def test_missing_n_sealers_rejected():
     with pytest.raises(ValidationError):
         parse_scenario("seed = 3\n")
@@ -387,6 +395,8 @@ def test_sweep_reports_attacker_share_stats():
     reports, summary = run_sweep(config, [0, 1, 2])
     assert len(reports) == 3
     assert summary["seeds"] == [0, 1, 2]
+    assert summary["sealers"] == [2, 2, 2]
+    assert summary["shares"] == [report.sealer_share(2) for report in reports]
     assert 0.0 <= summary["min_share"] <= summary["mean_share"] <= summary["max_share"] <= 1.0
     assert summary["min_share"] > 0.9  # the attacker dominates every seed
 
@@ -495,7 +505,15 @@ def test_cli_sweep(tmp_path, capsys, preset, label):
     mini = write_mini_scenario(tmp_path, preset=preset)
     assert cli.main(["sweep", "--seeds", "0..2", str(mini)]) == 0
     out = capsys.readouterr().out
-    assert "seed 0:" in out and "seed 2:" in out
+    reports, summary = run_sweep(load_scenario(mini), [0, 1, 2])
+    seed_lines = [line for line in out.splitlines() if line.startswith("seed ")]
+    assert seed_lines == [
+        f"seed {seed}: height {report.totals['canonical_height']}, "
+        f"sealer {sealer} share {share:.3f}"
+        for seed, report, sealer, share in zip(
+            [0, 1, 2], reports, summary["sealers"], summary["shares"]
+        )
+    ]
     assert "mean" in out and "min" in out and "max" in out
     assert out.splitlines()[-1].startswith(f"{label} over 3 seeds:")
 

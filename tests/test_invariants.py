@@ -11,7 +11,8 @@ which must be at most one per block whatever the committee size; the
 bytes a pack allocates when ``tx_cap`` binds, which must not grow with
 the pending pool; the bytes a pack or a header digest allocates,
 which must not grow with the ids per block; and the mempool calls of a
-tx batch, which must be none.
+tx batch, which must be none. The report's per-sealer rejections must
+add up to the nodes' ``rejected`` counts and name only the frontrunner.
 """
 
 import dataclasses
@@ -30,6 +31,7 @@ from cliquesim import (
     build_simulation,
     parse_scenario,
     preset_config,
+    run_scenario,
     snapshot_for_chain,
 )
 from cliquesim.simnet import Node
@@ -83,6 +85,22 @@ def test_end_of_run_node_invariants(config):
             if h in sim.snapshots:
                 rebuilt = snapshot_for_chain(n_sealers, node.store.canonical_chain(h))
                 assert sim.snapshots[h] == rebuilt
+
+
+@pytest.mark.parametrize(
+    "config,rejected_sealers",
+    [
+        pytest.param(short_preset("honest", 300_000), set(), id="honest"),
+        pytest.param(short_preset("attack", 300_000), set(), id="attack"),
+        pytest.param(short_preset("fixed", 300_000), {2}, id="fixed"),
+        pytest.param(FIXED_N21, {2}, id="fixed-n21"),
+    ],
+)
+def test_report_rejections_are_attributed_to_their_sealer(config, rejected_sealers):
+    report = run_scenario(config)
+    per_sealer = [sum(sealer.rejections.values()) for sealer in report.per_sealer]
+    assert sum(per_sealer) == sum(node["rejected"] for node in report.nodes)
+    assert {i for i, count in enumerate(per_sealer) if count} == rejected_sealers
 
 
 def _walked_per_event(monkeypatch, minutes):

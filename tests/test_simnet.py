@@ -25,7 +25,7 @@ def make_sim(n=5, flags=FIXED, delay=(0, 0), seed=0, policies=None):
     sealers = tuple(f"0x{i:040x}" for i in range(n))
     return Simulation(
         sealers=sealers,
-        policies=policies or [SealerPolicy.honest()] * n,
+        policies=policies or [SealerPolicy()] * n,
         flags=[flags] * n,
         block_interval_ms=5000,
         delay_model=DelayModel(*delay),
@@ -132,9 +132,8 @@ def test_wrong_turn_block_dropped_by_hardened_node():
     sim.now = 5000
     node = sim.nodes[0]
     node.deliver(sealed_by(sim, 1, 3, 2))  # leader for height 1 is sealer 1
-    assert node.rejected == 1
+    assert node.rejections == {(3, "wrong_turn_difficulty"): 1}
     assert node.head == node.store.genesis
-    assert sim.tallies[3].rejections == {"wrong_turn_difficulty": 1}
 
 
 def test_wrong_turn_block_accepted_by_vulnerable_node():
@@ -199,7 +198,7 @@ def test_seal_timer_of_a_replaced_plan_seals_nothing():
     assert node.pending is not stale
     head, queued = node.head, len(sim._queue)
     node.seal(stale)
-    assert sim.tallies[0].attempts == 0
+    assert node.attempts == 0
     assert node.head == head
     assert len(sim._queue) == queued
 
@@ -213,7 +212,7 @@ def test_seal_timer_after_t_end_seals_nothing():
     sim.t_end = plan.fire_at_ms - 1
     node.seal(plan)
     assert node.pending is plan
-    assert sim.tallies[1].attempts == 0
+    assert node.attempts == 0
     assert node.head == node.store.genesis
 
 
@@ -224,7 +223,7 @@ def test_seal_timer_at_t_end_seals():
     plan = node.pending
     sim.now = sim.t_end = plan.fire_at_ms
     node.seal(plan)
-    assert sim.tallies[1].attempts == 1
+    assert node.attempts == 1
     assert node.store.header(node.head).number == 1
 
 
@@ -233,7 +232,7 @@ def test_zero_delay_run_imports_the_block_sealed_at_t_end():
     sim = make_sim(delay=(0, 0))
     sim.start()
     sim.run_until(5000)  # the height-1 leader fires at exactly 5000
-    assert sim.tallies[1].attempts == 1
+    assert sim.nodes[1].attempts == 1
     for node in sim.nodes:
         assert node.store.header(node.head).number == 1
 
@@ -252,7 +251,7 @@ def test_sealer_set_must_be_non_empty_and_unique(sealers, message):
     with pytest.raises(ValueError, match=message):
         Simulation(
             sealers=sealers,
-            policies=[SealerPolicy.honest()] * n,
+            policies=[SealerPolicy()] * n,
             flags=[FIXED] * n,
             block_interval_ms=5000,
             delay_model=DelayModel(0, 0),
@@ -264,7 +263,7 @@ def test_block_interval_must_be_positive():
     with pytest.raises(ValueError, match="block interval"):
         Simulation(
             sealers=("0xaa",),
-            policies=[SealerPolicy.honest()],
+            policies=[SealerPolicy()],
             flags=[FIXED],
             block_interval_ms=0,
             delay_model=DelayModel(0, 0),
@@ -276,7 +275,7 @@ def test_tx_cap_must_not_be_negative():
     with pytest.raises(ValueError, match="tx cap"):
         Simulation(
             sealers=("0xaa",),
-            policies=[SealerPolicy.honest()],
+            policies=[SealerPolicy()],
             flags=[FIXED],
             block_interval_ms=5000,
             delay_model=DelayModel(0, 0),

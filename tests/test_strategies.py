@@ -43,7 +43,7 @@ def header_from_plan(plan, sealer_index):
 
 def test_honest_leader_plan():
     # leader for height 1 is sealer 1; parent sealed at t=0
-    plan = plan_proposal(SealerPolicy.honest(), make_ctx(), 1, random.Random(0))
+    plan = plan_proposal(SealerPolicy(), make_ctx(), 1, random.Random(0))
     assert plan.difficulty == 2
     assert plan.fire_at_ms == 5000
     assert plan.claim_ms == 5000
@@ -56,7 +56,7 @@ def test_honest_non_leader_plan_has_wiggle():
     rng = random.Random(3)
     fires = set()
     for _ in range(200):
-        plan = plan_proposal(SealerPolicy.honest(), make_ctx(), 3, rng)
+        plan = plan_proposal(SealerPolicy(), make_ctx(), 3, rng)
         assert plan.difficulty == 1
         assert 5000 <= plan.fire_at_ms <= 6500
         fires.add(plan.fire_at_ms)
@@ -65,7 +65,7 @@ def test_honest_non_leader_plan_has_wiggle():
 
 def test_honest_ineligible_when_recently_signed():
     ctx = make_ctx(parent_number=10, recent={3})
-    plan = plan_proposal(SealerPolicy.honest(), ctx, 3, random.Random(0))
+    plan = plan_proposal(SealerPolicy(), ctx, 3, random.Random(0))
     assert plan.eligible is False
 
 
@@ -101,7 +101,7 @@ def test_malicious_fire_never_later_than_honest():
         attacker = plan_proposal(SealerPolicy.malicious(), ctx, 2, random.Random(seed))
         for honest_index in (0, 1, 3, 4):
             honest = plan_proposal(
-                SealerPolicy.honest(), ctx, honest_index, random.Random(seed)
+                SealerPolicy(), ctx, honest_index, random.Random(seed)
             )
             assert attacker.fire_at_ms <= honest.fire_at_ms
 
@@ -123,7 +123,7 @@ def test_honest_plans_pass_fixed_verification():
         recent = {rng.randrange(n) for _ in range(min(rng.randrange(3), parent_number))}
         ctx = make_ctx(parent_number=parent_number, recent=recent, n=n)
         sealer = rng.randrange(n)
-        plan = plan_proposal(SealerPolicy.honest(), ctx, sealer, rng)
+        plan = plan_proposal(SealerPolicy(), ctx, sealer, rng)
         if not plan.eligible:
             continue
         header = header_from_plan(plan, sealer)
@@ -135,7 +135,7 @@ def test_plan_fire_never_in_the_past():
     for _ in range(200):
         now = rng.randrange(100_000)
         ctx = make_ctx(parent_number=rng.randrange(10), now_ms=now)
-        policy = rng.choice((SealerPolicy.honest(), SealerPolicy.malicious()))
+        policy = rng.choice((SealerPolicy(), SealerPolicy.malicious()))
         plan = plan_proposal(policy, ctx, rng.randrange(5), rng)
         assert plan.fire_at_ms >= now
 
@@ -217,5 +217,5 @@ def test_plan_matches_honest_plan_with_overrides(policy):
 
 def test_deviates_means_any_constraint_dropped():
     assert [policy.deviates for policy in ALL_POLICIES] == [False] + [True] * 15
-    assert SealerPolicy.honest() == ALL_POLICIES[0]
+    assert SealerPolicy() == ALL_POLICIES[0]
     assert SealerPolicy.malicious() == SealerPolicy(2, True, True)
