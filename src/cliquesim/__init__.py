@@ -22,7 +22,6 @@ from .charts import emit_chart
 from .engine import (
     FIXED,
     PRESETS,
-    ProposalContext,
     RejectReason,
     SealerSnapshot,
     VULNERABLE,
@@ -32,6 +31,7 @@ from .engine import (
     recents_window,
     signed_recently,
     snapshot_for_chain,
+    uniform_int,
     verify_header,
     wiggle_delay,
 )
@@ -73,7 +73,6 @@ __all__ = [
     "NonConvergenceError",
     "PRESETS",
     "ParseError",
-    "ProposalContext",
     "ProposalPlan",
     "RejectReason",
     "RunReport",
@@ -107,6 +106,7 @@ __all__ = [
     "signed_recently",
     "snapshot_for_chain",
     "tx_batch_schedule",
+    "uniform_int",
     "verify_header",
     "wiggle_delay",
 ]

@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
-from typing import NamedTuple
 
 HASH_SIZE = 32
 
@@ -126,11 +125,6 @@ def hash_header(header: BlockHeader) -> bytes:
     return header.digest
 
 
-class _Stored(NamedTuple):
-    header: BlockHeader
-    total_difficulty: int
-
-
 class ChainStore:
     """Tree of headers with first-received bookkeeping.
 
@@ -145,49 +139,47 @@ class ChainStore:
         if genesis.difficulty != 0 or genesis.tx_runs:
             raise ValueError("genesis carries difficulty 0 and no transactions")
         self.genesis = hash_header(genesis)
-        self._blocks: dict[bytes, _Stored] = {
-            self.genesis: _Stored(genesis, 0)
-        }
+        self._headers: dict[bytes, BlockHeader] = {self.genesis: genesis}
+        self._td: dict[bytes, int] = {self.genesis: 0}  # hash -> total difficulty
         # Leaves of the tree in arrival order: a block becomes a tip when it
         # arrives and is never one again once it has a child.
         self._tips: dict[bytes, None] = {self.genesis: None}
         self._best = self.genesis
 
     def __contains__(self, block_hash: bytes) -> bool:
-        return block_hash in self._blocks
+        return block_hash in self._headers
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self._headers)
 
     def header(self, block_hash: bytes) -> BlockHeader:
         try:
-            return self._blocks[block_hash].header
+            return self._headers[block_hash]
         except KeyError:
             raise UnknownBlockError(block_hash.hex()) from None
 
     def extend(self, header: BlockHeader) -> bytes:
         """Insert ``header`` under its parent and return its hash."""
         block_hash = hash_header(header)
-        if block_hash in self._blocks:
+        if block_hash in self._headers:
             raise DuplicateBlockError(block_hash.hex())
-        parent = self._blocks.get(header.parent)
+        parent = self._headers.get(header.parent)
         if parent is None:
             raise UnknownParentError(header.parent.hex())
-        if header.number != parent.header.number + 1:
+        if header.number != parent.number + 1:
             raise ChainError(
-                f"block number {header.number} does not follow parent "
-                f"{parent.header.number}"
+                f"block number {header.number} does not follow parent {parent.number}"
             )
-        stored = _Stored(header, parent.total_difficulty + header.difficulty)
-        self._blocks[block_hash] = stored
+        total_difficulty = self._td[header.parent] + header.difficulty
+        self._headers[block_hash] = header
+        self._td[block_hash] = total_difficulty
         self._tips.pop(header.parent, None)
         self._tips[block_hash] = None
         # The new block arrived last, so it loses every tie and takes the
         # lead only when strictly heavier than the best tip. A child of the
         # best tip that adds no difficulty retires that tip without beating
         # it: an earlier tip of equal weight may now win, so rescan.
-        best = self._blocks[self._best].total_difficulty
-        if stored.total_difficulty > best:
+        if total_difficulty > self._td[self._best]:
             self._best = block_hash
         elif header.parent == self._best:
             self._best = self._scan_tips()
@@ -196,7 +188,7 @@ class ChainStore:
     def total_difficulty(self, tip: bytes) -> int:
         """Sum of difficulty over the path genesis -> tip."""
         try:
-            return self._blocks[tip].total_difficulty
+            return self._td[tip]
         except KeyError:
             raise UnknownBlockError(tip.hex()) from None
 
@@ -206,7 +198,7 @@ class ChainStore:
 
     def _scan_tips(self) -> bytes:
         # ``max`` keeps the first of equal keys, and the tips are in arrival order.
-        return max(self._tips, key=lambda tip: self._blocks[tip].total_difficulty)
+        return max(self._tips, key=self._td.__getitem__)
 
     def canonical_chain(self, head: bytes) -> list[BlockHeader]:
         """Headers from genesis to ``head``, ascending by number."""
@@ -217,7 +209,7 @@ class ChainStore:
         header = self.header(head)
         tail = [header] if depth > 0 else []
         while len(tail) < depth and not header.is_genesis():
-            header = self._blocks[header.parent].header
+            header = self._headers[header.parent]
             tail.append(header)
         tail.reverse()
         return tail
@@ -230,20 +222,24 @@ class ChainStore:
         Returns ``(abandoned, adopted)``: the parts of
         ``canonical_chain(old_head)`` and ``canonical_chain(new_head)``
         after their common ancestor, each ascending by number. The walk
-        covers only those two branches.
+        covers only those two branches; a one-block extension of the old
+        head, the common case, needs no walk.
         """
-        old, new = self.header(old_head), self.header(new_head)
+        new = self.header(new_head)
+        if new.parent == old_head:
+            return [], [new]
+        old = self.header(old_head)
         abandoned: list[BlockHeader] = []
         adopted: list[BlockHeader] = []
         while old_head != new_head:
             if old.number >= new.number:
                 abandoned.append(old)
                 old_head = old.parent
-                old = self._blocks[old_head].header
+                old = self._headers[old_head]
             else:
                 adopted.append(new)
                 new_head = new.parent
-                new = self._blocks[new_head].header
+                new = self._headers[new_head]
         abandoned.reverse()
         adopted.reverse()
         return abandoned, adopted

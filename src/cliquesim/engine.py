@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .chain import BlockHeader
 
@@ -44,9 +43,28 @@ def recents_window(n_sealers: int) -> int:
     return n_sealers // 2 + 1
 
 
+def uniform_int(rng: random.Random, low: int, high: int) -> int:
+    """Uniform draw from [low, high], the run's only way to draw an integer.
+
+    It returns the value ``rng.randint(low, high)`` would and leaves ``rng``
+    in the same state, because it runs CPython's own loop for it
+    (``Random._randbelow_with_getrandbits``): redraw ``k`` bits until the
+    draw falls below the width ``n``. It takes one Python frame where
+    ``randint`` takes four.
+    """
+    n = high - low + 1
+    if n < 1:
+        raise ValueError(f"empty range [{low}, {high}]")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return low + r
+
+
 def wiggle_delay(n_sealers: int, rng: random.Random) -> int:
     """Random extra delay for a non-leader, uniform over [0, (N//2+1)*500] ms."""
-    return rng.randint(0, recents_window(n_sealers) * WIGGLE_STEP_MS)
+    return uniform_int(rng, 0, recents_window(n_sealers) * WIGGLE_STEP_MS)
 
 
 @dataclass(frozen=True)
@@ -133,31 +151,3 @@ def verify_header(
         if (header.difficulty == 2) != in_turn:
             return RejectReason.WRONG_TURN_DIFFICULTY
     return None
-
-
-class ProposalContext(NamedTuple):
-    """Everything a policy needs to plan the next block on a given head.
-
-    A node builds one on every head move, so it is a plain tuple; the
-    simulation checks once that ``block_interval_ms`` is positive.
-    """
-
-    parent_number: int
-    parent_hash: bytes
-    parent_time_ms: int
-    snapshot: SealerSnapshot
-    now_ms: int
-    block_interval_ms: int
-
-    @property
-    def next_number(self) -> int:
-        return self.parent_number + 1
-
-    @property
-    def next_claim_ms(self) -> int:
-        """Protocol timestamp of the next block: parent time + interval.
-
-        Never earlier than planning time, mirroring clients that bump a
-        stale target to the current clock.
-        """
-        return max(self.parent_time_ms + self.block_interval_ms, self.now_ms)

@@ -17,6 +17,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 from .engine import FIXED, PRESETS, VerifyFlags
 from .simnet import DelayModel, SimResult, Simulation
@@ -40,7 +42,7 @@ class ValidationError(ScenarioError):
         self.field = fld
 
 
-@dataclass
+@dataclass(frozen=True)
 class SealerSpec:
     """Per-sealer policy and optional verification override."""
 
@@ -50,7 +52,11 @@ class SealerSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One run's settings, validated on construction (``replace`` included)."""
+    """One run's settings, validated on construction (``replace`` included).
+
+    ``sealer_specs`` is stored as a read-only copy of the mapping passed in,
+    so a built config cannot gain a sealer that validation never saw.
+    """
 
     n_sealers: int
     block_interval_ms: int = 5000
@@ -61,9 +67,10 @@ class ScenarioConfig:
     delay_max_ms: int = 50
     flags: VerifyFlags = FIXED
     tx_cap: int | None = None
-    sealer_specs: dict[int, SealerSpec] = field(default_factory=dict)
+    sealer_specs: Mapping[int, SealerSpec] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sealer_specs", MappingProxyType(dict(self.sealer_specs)))
         if self.n_sealers < 1:
             raise ValidationError("must be >= 1", "n_sealers")
         if self.block_interval_ms <= 0:
@@ -99,7 +106,9 @@ class ScenarioConfig:
         return [i for i, policy in enumerate(self.policies()) if policy.deviates]
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        # Built by hand: ``asdict`` cannot deep-copy the read-only specs.
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["flags"] = asdict(self.flags)
         del out["sealer_specs"]
         out["sealers"] = {
             str(i): {

@@ -42,12 +42,12 @@ from typing import Any, Callable
 from . import strategies
 from .chain import BlockHeader, ChainStore, hash_header, make_genesis
 from .engine import (
-    ProposalContext,
     SealerSnapshot,
     VerifyFlags,
     leader_index,
     recents_window,
     snapshot_for_chain,
+    uniform_int,
     verify_header,
 )
 from .strategies import ProposalPlan, SealerPolicy
@@ -158,8 +158,9 @@ class Node:
         new_head = self.store.select_head()
         if new_head != self.head:
             self._move_head(new_head)
-        for child in self.orphans.pop(block_hash, []):
-            self._admit(child)
+        if self.orphans:
+            for child in self.orphans.pop(block_hash, ()):
+                self._admit(child)
 
     def _snapshot_at(self, block_hash: bytes) -> SealerSnapshot:
         """Snapshot of the recent signers on the branch ending at ``block_hash``.
@@ -188,18 +189,13 @@ class Node:
 
     def replan(self) -> None:
         """Cancel any stale plan and schedule a fresh one on the current head."""
-        head_header = self.store.header(self.head)
-        ctx = ProposalContext(
-            head_header.number,
-            self.head,
-            head_header.sim_time_ms,
-            self._snapshot_at(self.head),
-            self.sim.now,
-            self.sim.block_interval_ms,
+        sim, head = self.sim, self.head
+        plan = self.pending = strategies.plan_proposal(
+            self.policy, self.store.header(head), head, self._snapshot_at(head),
+            sim.now, sim.block_interval_ms, self.index, sim.rng,
         )
-        plan = self.pending = strategies.plan_proposal(self.policy, ctx, self.index, self.sim.rng)
         if plan.eligible:
-            self.sim.schedule(plan.fire_at_ms, SEAL, self.seal, plan)
+            sim.schedule(plan.fire_at_ms, SEAL, self.seal, plan)
 
     def seal(self, plan: ProposalPlan) -> None:
         """Seal and broadcast ``plan`` when its timer fires.
@@ -296,11 +292,11 @@ class Simulation:
         The sender applies the block to itself separately, at the current
         instant.
         """
+        rng, low, high = self.rng, self.delay_model.min_ms, self.delay_model.max_ms
         for peer in self.nodes:
             if peer.index == from_node:
                 continue
-            delay = self.rng.randint(self.delay_model.min_ms, self.delay_model.max_ms)
-            self.schedule(self.now + delay, DELIVERY, peer.deliver, header)
+            self.schedule(self.now + uniform_int(rng, low, high), DELIVERY, peer.deliver, header)
 
     def schedule_tx_batches(self, batches: list[tuple[int, range]]) -> None:
         """Schedule batches that hand out the ids 0, 1, 2, ... in time order.

@@ -16,13 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .engine import (
-    ProposalContext,
-    difficulty_for,
-    leader_index,
-    signed_recently,
-    wiggle_delay,
-)
+from .chain import BlockHeader
+from .engine import SealerSnapshot, leader_index, signed_recently, wiggle_delay
 
 
 @dataclass(frozen=True)
@@ -69,32 +64,41 @@ class ProposalPlan(NamedTuple):
 
 def plan_proposal(
     policy: SealerPolicy,
-    ctx: ProposalContext,
+    parent: BlockHeader,
+    parent_hash: bytes,
+    snapshot: SealerSnapshot,
+    now_ms: int,
+    block_interval_ms: int,
     self_index: int,
     rng: random.Random,
 ) -> ProposalPlan:
-    """Plan the next block on top of ``ctx``'s parent under ``policy``.
+    """Plan the next block on top of ``parent`` under ``policy``.
+
+    ``snapshot`` is the sealer snapshot at ``parent``. The block claims the
+    parent's time plus the interval, never earlier than ``now_ms``,
+    mirroring clients that bump a stale target to the current clock.
 
     Each deviation overrides one field of the honest plan: a forced
     difficulty replaces the rotation's, zero delay fires at ``now``, and
     bypassing the recents window makes the plan eligible. The wiggle is
     drawn only for a waiting sealer that is not the round leader.
     """
-    n_sealers = ctx.snapshot.n_sealers
-    height = ctx.next_number
-    claim = ctx.next_claim_ms
+    n_sealers = snapshot.n_sealers
+    height = parent.number + 1
+    claim = max(parent.sim_time_ms + block_interval_ms, now_ms)
+    in_turn = self_index == leader_index(height, n_sealers)
     if policy.forced_difficulty is not None:
         difficulty = policy.forced_difficulty
     else:
-        difficulty = difficulty_for(self_index, height, n_sealers)
+        difficulty = 2 if in_turn else 1  # ``difficulty_for``, from the one leader lookup
     if policy.zero_delay:
-        fire_at = ctx.now_ms
-    elif self_index == leader_index(height, n_sealers):
+        fire_at = now_ms
+    elif in_turn:
         fire_at = claim
     else:
         fire_at = claim + wiggle_delay(n_sealers, rng)
-    eligible = policy.bypass_recents or not signed_recently(ctx.snapshot, self_index)
-    return ProposalPlan(height, ctx.parent_hash, difficulty, claim, fire_at, eligible)
+    eligible = policy.bypass_recents or not signed_recently(snapshot, self_index)
+    return ProposalPlan(height, parent_hash, difficulty, claim, fire_at, eligible)
 
 
 # ``perfbench/tracing.py`` finds the planning layer under this name; the

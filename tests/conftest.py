@@ -92,9 +92,9 @@ def brute_force_head(store: ChainStore) -> bytes:
 def iter_hashes(store: ChainStore):
     """Every block hash in the store, in arrival order.
 
-    The store has no public enumeration, so this reads its block map.
+    The store has no public enumeration, so this reads its header map.
     """
-    return iter(store._blocks)
+    return iter(store._headers)
 
 
 def children(store: ChainStore, block_hash: bytes) -> list[bytes]:

@@ -253,6 +253,10 @@ def test_reorg_cases(store):
     assert store.reorg(a3, b2) == ([h(a2), h(a3)], [h(b2)])
     assert store.reorg(b2, a3) == ([h(b2)], [h(a2), h(a3)])
     assert store.reorg(store.genesis, a3) == ([], [h(a1), h(a2), h(a3)])
+    # One-block extensions of the old head, the path every import takes.
+    assert store.reorg(a2, a3) == ([], [h(a3)])
+    assert store.reorg(a1, b2) == ([], [h(b2)])
+    assert store.reorg(store.genesis, a1) == ([], [h(a1)])
     with pytest.raises(UnknownBlockError):
         store.reorg(a3, b"\x44" * 32)
 
@@ -267,6 +271,8 @@ def test_reorg_and_chain_tail_match_full_chains_on_random_trees():
                                difficulty=rng.choice((0, 1, 2)), time_ms=1000 + i))
         for _ in range(30):
             old, new = rng.choice(hashes), rng.choice(hashes)
+            if new != store.genesis and rng.random() < 0.5:
+                old = store.header(new).parent  # a one-block extension
             assert store.reorg(old, new) == canonical_diff(store, old, new)
             depth = rng.randrange(6)
             chain = store.canonical_chain(new)

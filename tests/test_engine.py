@@ -15,6 +15,7 @@ from cliquesim import (
     recents_window,
     signed_recently,
     snapshot_for_chain,
+    uniform_int,
     verify_header,
     wiggle_delay,
 )
@@ -66,6 +67,26 @@ def test_exactly_one_leader_per_height():
         for number in range(3 * n):
             leaders = [s for s in range(n) if difficulty_for(s, number, n) == 2]
             assert len(leaders) == 1
+
+
+# -- uniform draws -----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "low,high", [(5, 50), (0, 0), (7, 7), (0, 1500), (0, 5500), (0, 2**40)]
+)
+def test_uniform_int_is_randint_draw_for_draw(low, high):
+    # Every golden pin rests on this: the simulator draws with ``uniform_int``,
+    # and a CPython release that changes ``randint`` fails here first.
+    ours, reference = random.Random(99), random.Random(99)
+    for _ in range(300):
+        assert uniform_int(ours, low, high) == reference.randint(low, high)
+        assert ours.getstate() == reference.getstate()
+    assert ours.random() == reference.random()
+
+
+def test_uniform_int_rejects_an_empty_range():
+    with pytest.raises(ValueError):
+        uniform_int(random.Random(0), 5, 4)
 
 
 # -- wiggle --------------------------------------------------------------------

@@ -9,6 +9,7 @@ from cliquesim import (
     RunReport,
     ScenarioConfig,
     SealerPolicy,
+    SealerSpec,
     VULNERABLE,
     ValidationError,
     emit_chart,
@@ -55,6 +56,26 @@ def test_replace_validates_the_new_config():
     assert (str(err.value), err.value.field) == ("n_sealers: must be >= 1", "n_sealers")
     with pytest.raises(dataclasses.FrozenInstanceError):
         preset_config("fixed").n_sealers = 2  # would orphan the [sealer 2] section
+
+
+def test_sealer_specs_are_read_only_and_replace_validates_them():
+    config = preset_config("fixed")
+    with pytest.raises(TypeError):
+        config.sealer_specs[7] = SealerSpec(SealerPolicy.malicious())
+    with pytest.raises(TypeError):
+        del config.sealer_specs[2]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.sealer_specs[2].policy = SealerPolicy()
+    assert config.malicious_indices() == [2]
+    with pytest.raises(ValidationError) as err:
+        dataclasses.replace(config, sealer_specs={7: SealerSpec(SealerPolicy.malicious())})
+    assert (str(err.value), err.value.field) == ("sealer: sealer 7 out of range", "sealer")
+    # The config keeps its own copy: the caller's dict cannot reach it later.
+    specs = {1: SealerSpec(SealerPolicy.malicious())}
+    copied = dataclasses.replace(config, sealer_specs=specs)
+    specs[7] = SealerSpec(SealerPolicy.malicious())
+    assert copied.malicious_indices() == [1]
+    assert list(copied.to_dict()["sealers"]) == ["1"]
 
 
 def test_missing_n_sealers_rejected():

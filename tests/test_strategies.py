@@ -6,7 +6,6 @@ import pytest
 from cliquesim import (
     FIXED,
     BlockHeader,
-    ProposalContext,
     ProposalPlan,
     SealerPolicy,
     SealerSnapshot,
@@ -18,15 +17,37 @@ from cliquesim import (
 )
 
 
-def make_ctx(parent_number=0, now_ms=0, recent=(), n=5, parent_time=None):
-    snap = SealerSnapshot(n, frozenset(recent))
-    return ProposalContext(
-        parent_number=parent_number,
-        parent_hash=b"\xaa" * 32,
-        parent_time_ms=parent_time if parent_time is not None else parent_number * 5000,
-        snapshot=snap,
-        now_ms=now_ms,
-        block_interval_ms=5000,
+INTERVAL_MS = 5000
+PARENT_HASH = b"\xaa" * 32
+
+
+def make_parent(number=0, time_ms=None):
+    """A parent header; planning reads its number and its time."""
+    return BlockHeader(
+        number=number,
+        parent=b"\xbb" * 32,
+        sealer_index=0,
+        sealer_addr=f"0x{0:040x}",
+        difficulty=1,
+        sim_time_ms=time_ms if time_ms is not None else number * INTERVAL_MS,
+    )
+
+
+def make_snapshot(recent=(), n=5):
+    return SealerSnapshot(n, frozenset(recent))
+
+
+def plan_on(policy, sealer, rng, parent=None, snapshot=None, now_ms=0):
+    """``plan_proposal`` on ``parent`` (default: genesis time, number 0)."""
+    return plan_proposal(
+        policy,
+        parent if parent is not None else make_parent(),
+        PARENT_HASH,
+        snapshot if snapshot is not None else make_snapshot(),
+        now_ms,
+        INTERVAL_MS,
+        sealer,
+        rng,
     )
 
 
@@ -43,20 +64,20 @@ def header_from_plan(plan, sealer_index):
 
 def test_honest_leader_plan():
     # leader for height 1 is sealer 1; parent sealed at t=0
-    plan = plan_proposal(SealerPolicy(), make_ctx(), 1, random.Random(0))
+    plan = plan_on(SealerPolicy(), 1, random.Random(0))
     assert plan.difficulty == 2
     assert plan.fire_at_ms == 5000
     assert plan.claim_ms == 5000
     assert plan.eligible is True
     assert plan.height == 1
-    assert plan.parent == b"\xaa" * 32
+    assert plan.parent == PARENT_HASH
 
 
 def test_honest_non_leader_plan_has_wiggle():
     rng = random.Random(3)
     fires = set()
     for _ in range(200):
-        plan = plan_proposal(SealerPolicy(), make_ctx(), 3, rng)
+        plan = plan_on(SealerPolicy(), 3, rng)
         assert plan.difficulty == 1
         assert 5000 <= plan.fire_at_ms <= 6500
         fires.add(plan.fire_at_ms)
@@ -64,14 +85,12 @@ def test_honest_non_leader_plan_has_wiggle():
 
 
 def test_honest_ineligible_when_recently_signed():
-    ctx = make_ctx(parent_number=10, recent={3})
-    plan = plan_proposal(SealerPolicy(), ctx, 3, random.Random(0))
+    plan = plan_on(SealerPolicy(), 3, random.Random(0), make_parent(10), make_snapshot({3}))
     assert plan.eligible is False
 
 
 def test_malicious_default_plan_fires_immediately():
-    ctx = make_ctx(parent_number=0, now_ms=42)
-    plan = plan_proposal(SealerPolicy.malicious(), ctx, 3, random.Random(0))
+    plan = plan_on(SealerPolicy.malicious(), 3, random.Random(0), now_ms=42)
     assert plan.difficulty == 2
     assert plan.fire_at_ms == 42
     assert plan.eligible is True
@@ -79,40 +98,37 @@ def test_malicious_default_plan_fires_immediately():
 
 
 def test_malicious_bypasses_recents():
-    ctx = make_ctx(parent_number=10, recent={3})
-    plan = plan_proposal(SealerPolicy.malicious(), ctx, 3, random.Random(0))
+    parent, snapshot = make_parent(10), make_snapshot({3})
+    plan = plan_on(SealerPolicy.malicious(), 3, random.Random(0), parent, snapshot)
     assert plan.eligible is True
-    honest = plan_proposal(
+    honest = plan_on(
         SealerPolicy(forced_difficulty=2, zero_delay=True, bypass_recents=False),
-        ctx, 3, random.Random(0),
+        3, random.Random(0), parent, snapshot,
     )
     assert honest.eligible is False
 
 
 def test_malicious_without_zero_delay_follows_honest_schedule():
     policy = SealerPolicy(forced_difficulty=2, zero_delay=False, bypass_recents=True)
-    plan = plan_proposal(policy, make_ctx(now_ms=1), 3, random.Random(5))
+    plan = plan_on(policy, 3, random.Random(5), now_ms=1)
     assert 5000 <= plan.fire_at_ms <= 6500
 
 
 def test_malicious_fire_never_later_than_honest():
     for seed in range(30):
-        ctx = make_ctx(now_ms=7)
-        attacker = plan_proposal(SealerPolicy.malicious(), ctx, 2, random.Random(seed))
+        attacker = plan_on(SealerPolicy.malicious(), 2, random.Random(seed), now_ms=7)
         for honest_index in (0, 1, 3, 4):
-            honest = plan_proposal(
-                SealerPolicy(), ctx, honest_index, random.Random(seed)
-            )
+            honest = plan_on(SealerPolicy(), honest_index, random.Random(seed), now_ms=7)
             assert attacker.fire_at_ms <= honest.fire_at_ms
 
 
 def test_forced_difficulty_nine_rejected_under_both_presets():
-    ctx = make_ctx()
+    snapshot = make_snapshot()
     policy = SealerPolicy.malicious(forced_difficulty=9)
-    plan = plan_proposal(policy, ctx, 3, random.Random(0))
+    plan = plan_on(policy, 3, random.Random(0), snapshot=snapshot)
     header = header_from_plan(plan, 3)
     for flags in (FIXED, VULNERABLE):
-        assert verify_header(header, ctx.snapshot, flags) is not None
+        assert verify_header(header, snapshot, flags) is not None
 
 
 def test_honest_plans_pass_fixed_verification():
@@ -121,26 +137,40 @@ def test_honest_plans_pass_fixed_verification():
         n = rng.randint(1, 9)
         parent_number = rng.randrange(50)
         recent = {rng.randrange(n) for _ in range(min(rng.randrange(3), parent_number))}
-        ctx = make_ctx(parent_number=parent_number, recent=recent, n=n)
+        snapshot = make_snapshot(recent, n)
         sealer = rng.randrange(n)
-        plan = plan_proposal(SealerPolicy(), ctx, sealer, rng)
+        plan = plan_on(SealerPolicy(), sealer, rng, make_parent(parent_number), snapshot)
         if not plan.eligible:
             continue
         header = header_from_plan(plan, sealer)
-        assert verify_header(header, ctx.snapshot, FIXED) is None
+        assert verify_header(header, snapshot, FIXED) is None
 
 
 def test_plan_fire_never_in_the_past():
     rng = random.Random(23)
     for _ in range(200):
         now = rng.randrange(100_000)
-        ctx = make_ctx(parent_number=rng.randrange(10), now_ms=now)
+        parent = make_parent(rng.randrange(10))
         policy = rng.choice((SealerPolicy(), SealerPolicy.malicious()))
-        plan = plan_proposal(policy, ctx, rng.randrange(5), rng)
+        plan = plan_on(policy, rng.randrange(5), rng, parent, now_ms=now)
         assert plan.fire_at_ms >= now
 
 
-def reference_plan(policy, ctx, sealer, rng, history):
+def test_stale_claim_is_bumped_to_now():
+    # The parent sealed at 5000 ms, so the next claim is due at 10000 ms.
+    parent = make_parent(1)
+    on_time = plan_on(SealerPolicy(), 2, random.Random(0), parent, now_ms=9_999)
+    assert on_time.claim_ms == on_time.fire_at_ms == 10_000
+    for now in (10_000, 10_001, 42_000):
+        leader = plan_on(SealerPolicy(), 2, random.Random(0), parent, now_ms=now)
+        assert leader.claim_ms == leader.fire_at_ms == now
+        other = plan_on(SealerPolicy(), 3, random.Random(0), parent, now_ms=now)
+        assert other.claim_ms == now <= other.fire_at_ms <= now + 1500
+        attacker = plan_on(SealerPolicy.malicious(), 3, random.Random(0), parent, now_ms=now)
+        assert attacker.claim_ms == attacker.fire_at_ms == now
+
+
+def reference_plan(policy, parent, snapshot, now_ms, sealer, rng, history):
     """Oracle: the honest plan, then each deviation overriding its own field.
 
     Built from the Clique rules directly, not from the engine: eligibility
@@ -148,16 +178,17 @@ def reference_plan(policy, ctx, sealer, rng, history):
     The wiggle is drawn only when the sealer waits and is not the round
     leader.
     """
-    n = ctx.snapshot.n_sealers
-    height = ctx.next_number
+    n = snapshot.n_sealers
+    height = parent.number + 1
     window = n // 2 + 1
     in_turn = sealer == height % n
+    claim = max(parent.sim_time_ms + INTERVAL_MS, now_ms)
     plan = ProposalPlan(
         height=height,
-        parent=ctx.parent_hash,
+        parent=PARENT_HASH,
         difficulty=2 if in_turn else 1,
-        claim_ms=ctx.next_claim_ms,
-        fire_at_ms=ctx.next_claim_ms,
+        claim_ms=claim,
+        fire_at_ms=claim,
         eligible=not any(
             signer == sealer and height - window < number < height
             for number, signer in history
@@ -166,7 +197,7 @@ def reference_plan(policy, ctx, sealer, rng, history):
     if policy.forced_difficulty is not None:
         plan = plan._replace(difficulty=policy.forced_difficulty)
     if policy.zero_delay:
-        plan = plan._replace(fire_at_ms=ctx.now_ms)
+        plan = plan._replace(fire_at_ms=now_ms)
     elif not in_turn:
         plan = plan._replace(fire_at_ms=plan.claim_ms + rng.randint(0, window * 500))
     if policy.bypass_recents:
@@ -201,17 +232,15 @@ def test_plan_matches_honest_plan_with_overrides(policy):
             for number, signer in history
         ]
         parent_time = parent_number * 5000 + rng.randrange(3000)
-        ctx = make_ctx(
-            parent_number=parent_number,
-            now_ms=parent_time + rng.choice((0, rng.randrange(12_000))),
-            n=n,
-            parent_time=parent_time,
-        )._replace(snapshot=snapshot_for_chain(n, chain))
+        parent = make_parent(parent_number, parent_time)
+        now = parent_time + rng.choice((0, rng.randrange(12_000)))
+        snapshot = snapshot_for_chain(n, chain)
         sealer = rng.randrange(n)
         seed = rng.randrange(2**32)
         actual_rng, expected_rng = random.Random(seed), random.Random(seed)
-        actual = plan_proposal(policy, ctx, sealer, actual_rng)
-        assert actual == reference_plan(policy, ctx, sealer, expected_rng, history)
+        actual = plan_on(policy, sealer, actual_rng, parent, snapshot, now)
+        expected = reference_plan(policy, parent, snapshot, now, sealer, expected_rng, history)
+        assert actual == expected
         assert actual_rng.getstate() == expected_rng.getstate()
 
 
