@@ -26,7 +26,6 @@ from .engine import (
     SealerSnapshot,
     VULNERABLE,
     VerifyFlags,
-    difficulty_for,
     leader_index,
     recents_window,
     signed_recently,
@@ -88,7 +87,6 @@ __all__ = [
     "ValidationError",
     "VerifyFlags",
     "build_simulation",
-    "difficulty_for",
     "emit_chart",
     "export_block_log",
     "hash_header",

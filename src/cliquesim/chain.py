@@ -222,8 +222,8 @@ class ChainStore:
         Returns ``(abandoned, adopted)``: the parts of
         ``canonical_chain(old_head)`` and ``canonical_chain(new_head)``
         after their common ancestor, each ascending by number. The walk
-        covers only those two branches; a one-block extension of the old
-        head, the common case, needs no walk.
+        covers only those two branches, and a one-block extension of the
+        old head, nearly every head move a run makes, needs no walk.
         """
         new = self.header(new_head)
         if new.parent == old_head:

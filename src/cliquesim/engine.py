@@ -31,13 +31,6 @@ def leader_index(next_number: int, n_sealers: int) -> int:
     return next_number % n_sealers
 
 
-def difficulty_for(sealer_index: int, next_number: int, n_sealers: int) -> int:
-    """2 for the in-turn sealer, 1 for everyone else."""
-    if not 0 <= sealer_index < n_sealers:
-        raise ValueError(f"sealer index {sealer_index} out of range [0, {n_sealers})")
-    return 2 if sealer_index == leader_index(next_number, n_sealers) else 1
-
-
 def recents_window(n_sealers: int) -> int:
     """Width of the recently-signed window: floor(N/2) + 1."""
     return n_sealers // 2 + 1

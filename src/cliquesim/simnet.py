@@ -158,9 +158,8 @@ class Node:
         new_head = self.store.select_head()
         if new_head != self.head:
             self._move_head(new_head)
-        if self.orphans:
-            for child in self.orphans.pop(block_hash, ()):
-                self._admit(child)
+        for child in self.orphans.pop(block_hash, ()):
+            self._admit(child)
 
     def _snapshot_at(self, block_hash: bytes) -> SealerSnapshot:
         """Snapshot of the recent signers on the branch ending at ``block_hash``.

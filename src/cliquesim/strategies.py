@@ -90,7 +90,7 @@ def plan_proposal(
     if policy.forced_difficulty is not None:
         difficulty = policy.forced_difficulty
     else:
-        difficulty = 2 if in_turn else 1  # ``difficulty_for``, from the one leader lookup
+        difficulty = 2 if in_turn else 1
     if policy.zero_delay:
         fire_at = now_ms
     elif in_turn:

@@ -6,12 +6,13 @@ from cliquesim import (
     FIXED,
     BlockHeader,
     RejectReason,
+    SealerPolicy,
     SealerSnapshot,
     VULNERABLE,
     VerifyFlags,
-    difficulty_for,
     leader_index,
     make_genesis,
+    plan_proposal,
     recents_window,
     signed_recently,
     snapshot_for_chain,
@@ -51,22 +52,35 @@ def test_leader_index(next_number, n, expected):
     assert leader_index(next_number, n) == expected
 
 
-def test_difficulty_for_leader_and_others():
-    assert difficulty_for(1, 1, 5) == 2
+def honest_difficulty(sealer_index, next_number, n_sealers):
+    """The difficulty an honest sealer's plan claims for block ``next_number``."""
+    parent = header_for(next_number - 1, 0, 1)
+    plan = plan_proposal(
+        SealerPolicy(), parent, b"\xaa" * 32, SealerSnapshot(n_sealers),
+        parent.sim_time_ms, 5000, sealer_index, random.Random(0),
+    )
+    return plan.difficulty
+
+
+def test_difficulty_leader_and_others():
+    assert leader_index(1, 5) == 1
+    assert honest_difficulty(1, 1, 5) == 2
     for other in (0, 2, 3, 4):
-        assert difficulty_for(other, 1, 5) == 1
+        assert honest_difficulty(other, 1, 5) == 1
 
 
 def test_difficulty_single_sealer_always_leader():
-    for number in range(10):
-        assert difficulty_for(0, number, 1) == 2
+    for number in range(1, 10):
+        assert leader_index(number, 1) == 0
+        assert honest_difficulty(0, number, 1) == 2
 
 
 def test_exactly_one_leader_per_height():
     for n in (1, 2, 5, 8):
-        for number in range(3 * n):
-            leaders = [s for s in range(n) if difficulty_for(s, number, n) == 2]
-            assert len(leaders) == 1
+        for number in range(1, 3 * n + 1):
+            assert 0 <= leader_index(number, n) < n
+            leaders = [s for s in range(n) if honest_difficulty(s, number, n) == 2]
+            assert leaders == [leader_index(number, n)]
 
 
 # -- uniform draws -----------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from cliquesim import (
     FIXED,
     BlockHeader,
+    ChainStore,
     DelayModel,
     NonConvergenceError,
     SealerPolicy,
@@ -439,3 +440,43 @@ def test_tx_conservation_after_every_event(preset, monkeypatch):
     sim = build_simulation(short_preset(preset, 120_000))
     sim.run_until(120_000)
     assert checks == sim._next_seq - len(sim._queue)
+
+
+def test_store_lookups_per_event_stay_flat_as_runs_lengthen(monkeypatch):
+    """A run's chain work per event does not grow with the chain's length.
+
+    Every store's header and total-difficulty maps count their lookups, so
+    the parent steps of ``chain_tail`` and ``reorg`` are counted along with
+    every other read. A walk that reached back towards genesis on each
+    import (a snapshot built from the whole chain, a head move that walked
+    both chains in full) would make a run four times as long cost far more
+    than four times the lookups.
+    """
+    lookups = 0
+
+    class CountingDict(dict):
+        def __getitem__(self, key):
+            nonlocal lookups
+            lookups += 1
+            return dict.__getitem__(self, key)
+
+        def get(self, key, default=None):
+            nonlocal lookups
+            lookups += 1
+            return dict.get(self, key, default)
+
+    store_init = ChainStore.__init__
+
+    def counting_init(self, genesis):
+        store_init(self, genesis)
+        self._headers, self._td = CountingDict(self._headers), CountingDict(self._td)
+
+    monkeypatch.setattr(ChainStore, "__init__", counting_init)
+    per_event = []
+    for duration_ms in (600_000, 2_400_000):
+        lookups = 0
+        sim = build_simulation(short_preset("honest", duration_ms))
+        sim.run_until(duration_ms)
+        per_event.append(lookups / (sim._next_seq - len(sim._queue)))
+    assert per_event[0] > 0
+    assert 0.95 <= per_event[1] / per_event[0] <= 1.05, per_event
