@@ -7,11 +7,19 @@ its timer was set for, or ``Simulation._add_txs`` with a tx batch. ``seq``
 is assigned at scheduling, so entries never tie and two runs with the same
 seed replay the exact same event sequence. One shared seeded generator is
 consumed in event order, which makes determinism a consequence of the
-total event order. The caller of ``schedule`` names the rank: at equal
-timestamps every ``DELIVERY`` (blocks and tx batches) runs before every
-``SEAL`` timer, so a node always sees everything the network has already
-handed it before it signs, and a round leader whose slot was frontrun
-cancels instead of racing its own stale plan.
+total event order. The caller of ``schedule`` names one of three ranks,
+and at equal timestamps a lower rank runs first. A ``TXS`` batch runs
+before everything else due at its ms, so every event then sees the ids
+created up to its time. Every ``DELIVERY`` (an arriving or a released
+block) runs before every ``SEAL`` timer, so a node always sees everything
+the network has already handed it before it signs, and a round leader
+whose slot was frontrun cancels instead of racing its own stale plan.
+
+The queue holds only live events: block arrivals, buffered releases, seal
+timers and the next tx batch. Each batch queues the one after it when it
+runs, so setup and the queue do not grow with the run's duration. A batch
+is queued later than the events it must precede, so its seq alone would
+not put it first; the ``TXS`` rank does.
 
 Network model: full-mesh broadcast among N sealer nodes with independent
 uniform per-link delays and no message loss (partial synchrony: everything
@@ -37,7 +45,7 @@ import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 from . import strategies
 from .chain import BlockHeader, ChainStore, hash_header, make_genesis
@@ -54,8 +62,9 @@ from .strategies import ProposalPlan, SealerPolicy
 from .workload import Mempool
 
 # Event ranks: at equal timestamps a lower rank runs first.
-DELIVERY = 0  # block arrivals, buffered-block releases and tx batches
-SEAL = 1  # seal timers
+TXS = 0  # tx batches, queued one at a time, so only the rank puts them first
+DELIVERY = 1  # block arrivals and buffered-block releases
+SEAL = 2  # seal timers
 
 
 class NonConvergenceError(Exception):
@@ -269,6 +278,7 @@ class Simulation:
         self.t_end = 0
         self._queue: list[tuple[int, int, int, Callable[[Any], None], Any]] = []
         self._next_seq = 0
+        self._tx_batches: Iterator[tuple[int, range]] = iter(())
         self.txs_generated = 0
         self.snapshots: dict[bytes, SealerSnapshot] = {}  # block hash -> snapshot at it
         genesis = make_genesis()
@@ -297,18 +307,30 @@ class Simulation:
                 continue
             self.schedule(self.now + uniform_int(rng, low, high), DELIVERY, peer.deliver, header)
 
-    def schedule_tx_batches(self, batches: list[tuple[int, range]]) -> None:
-        """Schedule batches that hand out the ids 0, 1, 2, ... in time order.
+    def schedule_tx_batches(self, batches: Iterable[tuple[int, range]]) -> None:
+        """Run ``(at_ms, ids)`` batches that hand out the ids 0, 1, 2, ... in time order.
 
-        A batch only counts its ids into ``txs_generated``. Each node adds
-        the ids below that count to its mempool when it next uses it
-        (``Mempool.catch_up``), so no batch touches a mempool.
+        Batch times must ascend. Only the first batch is queued here; each
+        batch queues the next when it runs, so ``batches`` may be lazy and
+        the queue holds one batch however long the run. A batch only counts
+        its ids into ``txs_generated``. Each node adds the ids below that
+        count to its mempool when it next uses it (``Mempool.catch_up``), so
+        no batch touches a mempool.
+
+        Raises ``ValueError`` while an earlier stream still has a batch queued.
         """
-        for at_ms, txs in batches:
-            self.schedule(at_ms, DELIVERY, self._add_txs, txs)
+        if any(rank == TXS for _, rank, _, _, _ in self._queue):
+            raise ValueError("a tx batch stream is already running")
+        self._tx_batches = iter(batches)
+        batch = next(self._tx_batches, None)
+        if batch is not None:
+            self.schedule(batch[0], TXS, self._add_txs, batch[1])
 
     def _add_txs(self, txs: range) -> None:
         self.txs_generated += len(txs)
+        batch = next(self._tx_batches, None)
+        if batch is not None:
+            self.schedule(batch[0], TXS, self._add_txs, batch[1])
 
     def start(self) -> None:
         """Install the first proposal plans (genesis is already everyone's head)."""

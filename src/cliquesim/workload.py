@@ -19,19 +19,21 @@ from operator import sub
 from .chain import BlockHeader
 
 
-def tx_batch_schedule(rate_per_s: int, t_end_ms: int) -> list[tuple[int, range]]:
+def tx_batch_schedule(rate_per_s: int, t_end_ms: int) -> Iterator[tuple[int, range]]:
     """One batch per whole second up to ``t_end_ms``, ``rate_per_s`` tx ids each.
 
     Every node receives the same batch at the same instant; transaction
     gossip is abstracted away. Batch ``k`` (at ``k * 1000`` ms) holds the
-    ids ``(k - 1) * rate_per_s`` up to ``k * rate_per_s``, exclusive.
+    ids ``(k - 1) * rate_per_s`` up to ``k * rate_per_s``, exclusive. The
+    batches are made lazily, one per ``next``, in ascending time; a rate
+    that is not positive raises at the call, not at the first batch.
     """
     if rate_per_s <= 0:
         raise ValueError("tx rate must be positive")
-    return [
+    return (
         (second * 1000, range((second - 1) * rate_per_s, second * rate_per_s))
         for second in range(1, t_end_ms // 1000 + 1)
-    ]
+    )
 
 
 class IdRanges:

@@ -1,5 +1,6 @@
 import heapq
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,7 @@ from cliquesim import (
     run_scenario,
     ScenarioConfig,
 )
-from cliquesim.simnet import DELIVERY, SEAL, Node
+from cliquesim.simnet import DELIVERY, SEAL, TXS, Node
 
 from conftest import in_flight, pending_ids, short_preset
 
@@ -73,6 +74,9 @@ def test_deliveries_pop_before_seal_timers_at_equal_time():
     header = sealed_by(sim, 1, 1, 2)
     sim.schedule(7, DELIVERY, node.deliver, header)
     sim.schedule(7, DELIVERY, sim._add_txs, range(3))
+    batch = range(3, 5)
+    sim.schedule(7, TXS, sim._add_txs, batch)  # queued last, as each lazily drawn batch is
+    assert heapq.heappop(sim._queue)[3:] == (sim._add_txs, batch)
     assert heapq.heappop(sim._queue)[3:] == (node.deliver, header)
     assert heapq.heappop(sim._queue)[3] == sim._add_txs
     assert heapq.heappop(sim._queue)[3:] == (node.seal, plan)
@@ -86,6 +90,57 @@ def test_run_stops_after_the_events_due_at_drain_end():
     sim.run_until(1000)
     assert sim.txs_generated == 3
     assert [at for at, *_ in sim._queue] == [drain_end + 1]
+
+
+# -- tx batches ----------------------------------------------------------------
+
+def test_tx_batches_accept_any_iterable_and_queue_one_at_a_time():
+    sim = make_sim()
+    sim.schedule_tx_batches(((1000 * k, range(2 * k - 2, 2 * k)) for k in (1, 2, 3)))
+    assert [(at, rank) for at, rank, *_ in sim._queue] == [(1000, TXS)]
+    sim.run_until(2000)
+    assert sim.txs_generated == 4
+    assert [(at, rank) for at, rank, *_ in sim._queue] == [(3000, TXS)]
+
+
+def test_second_tx_stream_while_one_runs_is_an_error():
+    """Two streams would each hand out ids from 0, so a second one is refused."""
+    sim = make_sim()
+    sim.schedule_tx_batches([(1000, range(2)), (2000, range(2, 4))])
+    with pytest.raises(ValueError, match="already running"):
+        sim.schedule_tx_batches([(1000, range(2))])
+    sim.run_until(2000)
+    sim.schedule_tx_batches([(3000, range(4, 6))])  # the first stream has ended
+    sim.run_until(3000)
+    assert sim.txs_generated == 6
+
+
+@pytest.mark.parametrize("preset", ["honest", "attack", "fixed"])
+@pytest.mark.parametrize("duration_ms", [0, 60_000, 10**8])
+def test_setup_queue_does_not_grow_with_duration(preset, duration_ms):
+    """A built run holds one seal timer per node and one tx batch, however long it is."""
+    config = short_preset(preset, duration_ms)
+    sim = build_simulation(config)
+    assert len(sim._queue) <= config.n_sealers + 1
+
+
+def test_peak_queue_length_does_not_grow_with_duration(monkeypatch):
+    schedule = Simulation.schedule
+    peak = 0
+
+    def tracking(self, *args):
+        nonlocal peak
+        schedule(self, *args)
+        peak = max(peak, len(self._queue))
+
+    monkeypatch.setattr(Simulation, "schedule", tracking)
+    peaks = []
+    for minutes in (10, 40):
+        peak = 0
+        config = short_preset("honest", minutes * 60_000)
+        build_simulation(config).run_until(config.duration_ms)
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) <= 2, peaks
 
 
 # -- broadcast -----------------------------------------------------------------
@@ -440,6 +495,48 @@ def test_tx_conservation_after_every_event(preset, monkeypatch):
     sim = build_simulation(short_preset(preset, 120_000))
     sim.run_until(120_000)
     assert checks == sim._next_seq - len(sim._queue)
+
+
+@pytest.mark.parametrize("preset", ["honest", "attack", "fixed"])
+def test_tx_batches_run_first_at_their_ms_and_count_in_closed_form(preset, monkeypatch):
+    """Every dispatched event sees exactly the ids created up to its time.
+
+    Batch k fires at k * 1000 ms, before any other event due then, so after
+    every event ``txs_generated`` is the rate times the whole seconds
+    elapsed, up to the run's last batch. Handlers are wrapped as above, and
+    an outermost call is one dispatched event.
+    """
+    config = short_preset(preset, 120_000)
+    sim = None
+    depth = 0
+    batch_ms: list[int] = []
+    first_at: dict[int, str] = {}  # ms -> name of the first event dispatched then
+    dispatched: Counter[int] = Counter()  # ms -> events dispatched then
+
+    def checked(name, handler):
+        def wrapper(self, arg):
+            nonlocal depth
+            if not depth:
+                first_at.setdefault(sim.now, name)
+                dispatched[sim.now] += 1
+                if name == "_add_txs":
+                    batch_ms.append(sim.now)
+            depth += 1
+            handler(self, arg)
+            depth -= 1
+            if not depth:
+                seconds = min(sim.now // 1000, config.duration_ms // 1000)
+                assert sim.txs_generated == config.tx_rate_per_s * seconds, f"at {sim.now} ms"
+
+        return wrapper
+
+    for owner, name in ((Node, "deliver"), (Node, "_admit"), (Node, "seal"), (Simulation, "_add_txs")):
+        monkeypatch.setattr(owner, name, checked(name, getattr(owner, name)))
+    sim = build_simulation(config)
+    sim.run_until(config.duration_ms)
+    assert batch_ms == [1000 * k for k in range(1, 121)]
+    assert all(first_at[at] == "_add_txs" for at in batch_ms)
+    assert any(dispatched[at] > 1 for at in batch_ms), "no other event shared a batch's ms"
 
 
 def test_store_lookups_per_event_stay_flat_as_runs_lengthen(monkeypatch):

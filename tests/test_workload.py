@@ -28,7 +28,7 @@ def filled(n, start=0):
 # -- stream -------------------------------------------------------------------
 
 def test_stream_thirty_minutes_at_ten_per_second():
-    batches = tx_batch_schedule(10, 1_800_000)
+    batches = list(tx_batch_schedule(10, 1_800_000))
     assert sum(len(txs) for _, txs in batches) == 18_000
     assert batches[0][0] == 1000 and batches[-1][0] == 1_800_000
 
@@ -39,7 +39,14 @@ def test_stream_one_second():
 
 
 def test_stream_zero_duration():
-    assert tx_batch_schedule(1, 0) == []
+    assert list(tx_batch_schedule(1, 0)) == []
+
+
+def test_stream_is_lazy():
+    """A stream for any duration costs nothing until its batches are drawn."""
+    batches = tx_batch_schedule(3, 10**15)
+    assert next(batches) == (1000, range(0, 3))
+    assert next(batches) == (2000, range(3, 6))
 
 
 def test_stream_ids_unique_and_monotone():
@@ -49,6 +56,7 @@ def test_stream_ids_unique_and_monotone():
 
 
 def test_stream_rejects_zero_rate():
+    """The rate is checked at the call, before any batch is drawn."""
     with pytest.raises(ValueError):
         tx_batch_schedule(0, 1000)
 
