@@ -50,9 +50,8 @@ from .harness import (
     preset_text,
     run_scenario,
     run_sweep,
-    sealer_addresses,
 )
-from .simnet import DelayModel, NonConvergenceError, Simulation
+from .simnet import NonConvergenceError, Simulation, sealer_addresses
 from .strategies import ProposalPlan, SealerPolicy, plan_proposal
 from .workload import Mempool, tx_batch_schedule
 
@@ -63,7 +62,6 @@ __all__ = [
     "BlockRow",
     "ChainError",
     "ChainStore",
-    "DelayModel",
     "DuplicateBlockError",
     "FIXED",
     "GENESIS_ADDRESS",

@@ -114,6 +114,10 @@ def make_genesis() -> BlockHeader:
     )
 
 
+# The one genesis header every store is rooted at; its digest is computed once.
+GENESIS = make_genesis()
+
+
 def hash_header(header: BlockHeader) -> bytes:
     """Digest of the canonical field-ordered encoding of a header.
 
@@ -130,16 +134,12 @@ class ChainStore:
 
     The store never holds a parentless block: orphans are the caller's
     problem (the network layer buffers and re-delivers them once the
-    parent lands).
+    parent lands). Every store is rooted at ``GENESIS``.
     """
 
-    def __init__(self, genesis: BlockHeader):
-        if not genesis.is_genesis():
-            raise ValueError("genesis header must have number 0 and a nil parent")
-        if genesis.difficulty != 0 or genesis.tx_runs:
-            raise ValueError("genesis carries difficulty 0 and no transactions")
-        self.genesis = hash_header(genesis)
-        self._headers: dict[bytes, BlockHeader] = {self.genesis: genesis}
+    def __init__(self):
+        self.genesis = hash_header(GENESIS)
+        self._headers: dict[bytes, BlockHeader] = {self.genesis: GENESIS}
         self._td: dict[bytes, int] = {self.genesis: 0}  # hash -> total difficulty
         # Leaves of the tree in arrival order: a block becomes a tip when it
         # arrives and is never one again once it has a child.

@@ -10,7 +10,6 @@ malicious sealer section.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from collections import Counter
@@ -21,7 +20,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .engine import FIXED, PRESETS, VerifyFlags
-from .simnet import DelayModel, SimResult, Simulation
+from .simnet import SimResult, Simulation
 from .strategies import SealerPolicy
 from .workload import tx_batch_schedule
 
@@ -54,8 +53,10 @@ class SealerSpec:
 class ScenarioConfig:
     """One run's settings, validated on construction (``replace`` included).
 
-    ``sealer_specs`` is stored as a read-only copy of the mapping passed in,
-    so a built config cannot gain a sealer that validation never saw.
+    This is each setting's only check: ``Simulation(config)`` reads them
+    as they are. ``sealer_specs`` is stored as a read-only copy of the
+    mapping passed in, so a built config cannot gain a sealer that
+    validation never saw.
     """
 
     n_sealers: int
@@ -273,14 +274,6 @@ def preset_config(name: str) -> ScenarioConfig:
 
 # -- running -----------------------------------------------------------------
 
-def sealer_addresses(seed: int, n_sealers: int) -> tuple[str, ...]:
-    """Deterministic pseudo-addresses: 0x-prefixed, 40 hex chars."""
-    return tuple(
-        "0x" + hashlib.sha256(f"sealer:{seed}:{i}".encode()).hexdigest()[:40]
-        for i in range(n_sealers)
-    )
-
-
 @dataclass(frozen=True)
 class BlockRow:
     number: int
@@ -321,16 +314,8 @@ class RunReport:
 
 
 def build_simulation(config: ScenarioConfig) -> Simulation:
-    """Construct a ready-to-run simulation: genesis, nodes, tx stream, plans."""
-    sim = Simulation(
-        sealers=sealer_addresses(config.seed, config.n_sealers),
-        policies=config.policies(),
-        flags=config.flag_list(),
-        block_interval_ms=config.block_interval_ms,
-        delay_model=DelayModel(config.delay_min_ms, config.delay_max_ms),
-        seed=config.seed,
-        tx_cap=config.tx_cap,
-    )
+    """Construct a ready-to-run simulation: nodes, tx stream, plans."""
+    sim = Simulation(config)
     sim.schedule_tx_batches(
         tx_batch_schedule(config.tx_rate_per_s, config.duration_ms)
     )

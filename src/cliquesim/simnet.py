@@ -41,14 +41,15 @@ block beat the round leader's freshly sealed one at every peer.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from . import strategies
-from .chain import BlockHeader, ChainStore, hash_header, make_genesis
+from .chain import BlockHeader, ChainStore, hash_header
 from .engine import (
     SealerSnapshot,
     VerifyFlags,
@@ -60,6 +61,9 @@ from .engine import (
 )
 from .strategies import ProposalPlan, SealerPolicy
 from .workload import Mempool
+
+if TYPE_CHECKING:  # the harness imports this module, so only type checkers import it back
+    from .harness import ScenarioConfig
 
 # Event ranks: at equal timestamps a lower rank runs first.
 TXS = 0  # tx batches, queued one at a time, so only the rank puts them first
@@ -75,16 +79,12 @@ class NonConvergenceError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class DelayModel:
-    """Per-link uniform delivery delay bounds, in ms. Nothing is dropped."""
-
-    min_ms: int
-    max_ms: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.min_ms <= self.max_ms:
-            raise ValueError("need 0 <= min_ms <= max_ms")
+def sealer_addresses(seed: int, n_sealers: int) -> tuple[str, ...]:
+    """Deterministic pseudo-addresses: 0x-prefixed, 40 hex chars."""
+    return tuple(
+        "0x" + hashlib.sha256(f"sealer:{seed}:{i}".encode()).hexdigest()[:40]
+        for i in range(n_sealers)
+    )
 
 
 @dataclass
@@ -105,17 +105,16 @@ class Node:
 
     def __init__(
         self,
-        sim: "Simulation",
+        sim: Simulation,
         index: int,
         policy: SealerPolicy,
         flags: VerifyFlags,
-        genesis: BlockHeader,
     ):
         self.sim = sim
         self.index = index
         self.policy = policy
         self.flags = flags
-        self.store = ChainStore(genesis)
+        self.store = ChainStore()
         self.head = self.store.genesis
         self.mempool = Mempool()
         self.pending: ProposalPlan | None = None
@@ -200,7 +199,7 @@ class Node:
         sim, head = self.sim, self.head
         plan = self.pending = strategies.plan_proposal(
             self.policy, self.store.header(head), head, self._snapshot_at(head),
-            sim.now, sim.block_interval_ms, self.index, sim.rng,
+            sim.now, sim.config.block_interval_ms, self.index, sim.rng,
         )
         if plan.eligible:
             sim.schedule(plan.fire_at_ms, SEAL, self.seal, plan)
@@ -215,7 +214,7 @@ class Node:
             return
         self.pending = None
         self.mempool.catch_up(self.sim.txs_generated)
-        tx_runs = self.mempool.pack_block(self.sim.tx_cap)
+        tx_runs = self.mempool.pack_block(self.sim.config.tx_cap)
         header = BlockHeader(
             number=plan.height,
             parent=plan.parent,
@@ -247,33 +246,14 @@ class Node:
 
 
 class Simulation:
-    """One isolated run: nodes, queue, generator. Strictly single-threaded."""
+    """One isolated run: nodes, queue, generator. Strictly single-threaded.
 
-    def __init__(
-        self,
-        sealers: tuple[str, ...],
-        policies: list[SealerPolicy],
-        flags: list[VerifyFlags],
-        block_interval_ms: int,
-        delay_model: DelayModel,
-        seed: int,
-        tx_cap: int | None = None,
-    ):
-        if not sealers:
-            raise ValueError("sealer set must be non-empty")
-        if len(set(sealers)) != len(sealers):
-            raise ValueError("sealer addresses must be unique")
-        if not (len(sealers) == len(policies) == len(flags)):
-            raise ValueError("need one policy and one flag set per sealer")
-        if block_interval_ms <= 0:
-            raise ValueError("block interval must be positive")
-        if tx_cap is not None and tx_cap < 0:
-            raise ValueError("tx cap must be >= 0")
-        self.sealers = sealers
-        self.block_interval_ms = block_interval_ms
-        self.delay_model = delay_model
-        self.rng = random.Random(seed)
-        self.tx_cap = tx_cap
+    Every setting is read from ``config``, which has already checked it."""
+
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.sealers = sealer_addresses(config.seed, config.n_sealers)
+        self.rng = random.Random(config.seed)
         self.now = 0
         self.t_end = 0
         self._queue: list[tuple[int, int, int, Callable[[Any], None], Any]] = []
@@ -281,9 +261,9 @@ class Simulation:
         self._tx_batches: Iterator[tuple[int, range]] = iter(())
         self.txs_generated = 0
         self.snapshots: dict[bytes, SealerSnapshot] = {}  # block hash -> snapshot at it
-        genesis = make_genesis()
         self.nodes = [
-            Node(self, i, policies[i], flags[i], genesis) for i in range(len(sealers))
+            Node(self, i, policy, flags)
+            for i, (policy, flags) in enumerate(zip(config.policies(), config.flag_list()))
         ]
 
     # -- scheduling --------------------------------------------------------
@@ -301,7 +281,7 @@ class Simulation:
         The sender applies the block to itself separately, at the current
         instant.
         """
-        rng, low, high = self.rng, self.delay_model.min_ms, self.delay_model.max_ms
+        rng, low, high = self.rng, self.config.delay_min_ms, self.config.delay_max_ms
         for peer in self.nodes:
             if peer.index == from_node:
                 continue
@@ -348,7 +328,7 @@ class Simulation:
         drain's end still run; later ones stay queued.
         """
         self.t_end = t_end_ms
-        drain_end = t_end_ms + 2 * self.delay_model.max_ms
+        drain_end = t_end_ms + 2 * self.config.delay_max_ms
         queue = self._queue
         while queue and queue[0][0] <= drain_end:
             self.now, _, _, action, arg = heapq.heappop(queue)

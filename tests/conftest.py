@@ -7,7 +7,6 @@ from hypothesis import settings
 from cliquesim import (
     BlockHeader,
     ChainStore,
-    make_genesis,
     preset_config,
 )
 
@@ -21,7 +20,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 @pytest.fixture
 def store():
-    return ChainStore(make_genesis())
+    return ChainStore()
 
 
 def child_header(

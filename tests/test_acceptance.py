@@ -18,7 +18,6 @@ from cliquesim import (
     SealerSnapshot,
     VULNERABLE,
     build_simulation,
-    make_genesis,
     preset_config,
     recents_window,
     run_scenario,
@@ -133,7 +132,7 @@ def test_criterion_5_fork_choice_oracle_equivalence():
     rng = random.Random(1234)
     mismatches = 0
     for _ in range(200):
-        store = ChainStore(make_genesis())
+        store = ChainStore()
         hashes = [store.genesis]
         for i in range(rng.randrange(1, 50)):
             hashes.append(

@@ -104,7 +104,7 @@ def test_total_difficulty_unknown_block(store):
 
 def test_total_difficulty_recurrence_random_tree():
     rng = random.Random(11)
-    store = ChainStore(make_genesis())
+    store = ChainStore()
     hashes = [store.genesis]
     for i in range(40):
         parent = rng.choice(hashes)
@@ -149,7 +149,7 @@ def test_select_head_stable_under_light_inserts(store):
 def test_select_head_matches_brute_force_on_random_trees():
     rng = random.Random(202)
     for _ in range(50):
-        store = ChainStore(make_genesis())
+        store = ChainStore()
         hashes = [store.genesis]
         for i in range(rng.randrange(1, 50)):
             parent = rng.choice(hashes)
@@ -170,7 +170,7 @@ def test_select_head_matches_brute_force_after_every_extend():
     # best tip, which leaves an earlier tip of equal weight in the lead.
     rng = random.Random(303)
     for _ in range(100):
-        store = ChainStore(make_genesis())
+        store = ChainStore()
         hashes = [store.genesis]
         for i in range(rng.randrange(1, 40)):
             parent = store.select_head() if rng.random() < 0.3 else rng.choice(hashes)
@@ -221,7 +221,7 @@ def test_canonical_chain_unknown_head(store):
 
 def test_canonical_numbers_have_no_gaps_random():
     rng = random.Random(5)
-    store = ChainStore(make_genesis())
+    store = ChainStore()
     hashes = [store.genesis]
     for i in range(30):
         hashes.append(grow(store, rng.choice(hashes), sealer_index=rng.randrange(4),
@@ -264,7 +264,7 @@ def test_reorg_cases(store):
 def test_reorg_and_chain_tail_match_full_chains_on_random_trees():
     rng = random.Random(404)
     for _ in range(30):
-        store = ChainStore(make_genesis())
+        store = ChainStore()
         hashes = [store.genesis]
         for i in range(60):
             hashes.append(grow(store, rng.choice(hashes), sealer_index=rng.randrange(5),

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from xml.etree import ElementTree
 
 import pytest
@@ -56,6 +57,35 @@ def test_replace_validates_the_new_config():
     assert (str(err.value), err.value.field) == ("n_sealers: must be >= 1", "n_sealers")
     with pytest.raises(dataclasses.FrozenInstanceError):
         preset_config("fixed").n_sealers = 2  # would orphan the [sealer 2] section
+
+
+# Each bound ScenarioConfig checks, besides n_sealers and duration_ms, as
+# (scenario lines after "n_sealers = 5", the same change for replace, field, message).
+# The config is the only place these are checked: the simulation reads them as given.
+BOUNDS = {
+    "zero-interval": ("block_interval_ms = 0", {"block_interval_ms": 0}, "block_interval_ms", "must be > 0"),
+    "zero-tx-rate": ("tx_rate_per_s = 0", {"tx_rate_per_s": 0}, "tx_rate_per_s", "must be > 0"),
+    "negative-delay": ("delay_min_ms = -1", {"delay_min_ms": -1}, "delay_min_ms", "need 0 <= min <= max"),
+    "delay-min-above-max": ("delay_min_ms = 60", {"delay_min_ms": 60}, "delay_min_ms", "need 0 <= min <= max"),
+    "negative-tx-cap": ("tx_cap = -1", {"tx_cap": -1}, "tx_cap", "must be >= 0"),
+    "negative-forced-difficulty": (
+        "[sealer 2]\npolicy = malicious\nforced_difficulty = -1",
+        {"sealer_specs": {2: SealerSpec(SealerPolicy.malicious(forced_difficulty=-1))}},
+        "sealer 2: forced_difficulty",
+        "must be >= 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("route", ["parse", "replace"])
+@pytest.mark.parametrize("lines,changes,fld,message", BOUNDS.values(), ids=BOUNDS)
+def test_every_bound_is_checked_by_parse_and_by_replace(lines, changes, fld, message, route):
+    with pytest.raises(ValidationError) as err:
+        if route == "parse":
+            parse_scenario(f"n_sealers = 5\n{lines}\n")
+        else:
+            dataclasses.replace(ScenarioConfig(n_sealers=5), **changes)
+    assert (str(err.value), err.value.field) == (f"{fld}: {message}", fld)
 
 
 def test_sealer_specs_are_read_only_and_replace_validates_them():
@@ -281,13 +311,16 @@ def test_preset_texts_parse_and_roundtrip(tmp_path):
 # -- addresses and report --------------------------------------------------------
 
 def test_addresses_deterministic_and_well_formed():
+    """Distinct by construction: nothing else checks that a run's sealers differ."""
     a = sealer_addresses(7, 5)
     assert a == sealer_addresses(7, 5)
     assert a != sealer_addresses(8, 5)
-    for addr in a:
-        assert addr.startswith("0x") and len(addr) == 42
-        int(addr, 16)
-    assert len(set(a)) == 5
+    for seed in (0, 1, 7, 2**31):
+        for n in range(1, 42):
+            addresses = sealer_addresses(seed, n)
+            assert len(set(addresses)) == n, (seed, n)
+            for addr in addresses:
+                assert re.fullmatch("0x[0-9a-f]{40}", addr), addr
 
 
 def test_report_totals_are_internally_consistent():

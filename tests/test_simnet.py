@@ -8,9 +8,7 @@ from cliquesim import (
     FIXED,
     BlockHeader,
     ChainStore,
-    DelayModel,
     NonConvergenceError,
-    SealerPolicy,
     Simulation,
     VULNERABLE,
     build_simulation,
@@ -23,16 +21,18 @@ from cliquesim.simnet import DELIVERY, SEAL, TXS, Node
 from conftest import in_flight, pending_ids, short_preset
 
 
-def make_sim(n=5, flags=FIXED, delay=(0, 0), seed=0, policies=None):
-    sealers = tuple(f"0x{i:040x}" for i in range(n))
-    return Simulation(
-        sealers=sealers,
-        policies=policies or [SealerPolicy()] * n,
-        flags=[flags] * n,
+def make_sim(n=5, flags=FIXED, delay=(0, 0), seed=0, sealer_specs=None):
+    """A bare simulation: no tx stream, and no plans until ``start``."""
+    config = ScenarioConfig(
+        n_sealers=n,
         block_interval_ms=5000,
-        delay_model=DelayModel(*delay),
+        delay_min_ms=delay[0],
+        delay_max_ms=delay[1],
+        flags=flags,
         seed=seed,
+        sealer_specs=sealer_specs or {},
     )
+    return Simulation(config)
 
 
 def sealed_by(sim, number, sealer_index, difficulty, parent=None, time_ms=None):
@@ -293,53 +293,6 @@ def test_zero_delay_run_imports_the_block_sealed_at_t_end():
         assert node.store.header(node.head).number == 1
 
 
-def test_delay_model_validation():
-    with pytest.raises(ValueError):
-        DelayModel(50, 10)
-
-
-@pytest.mark.parametrize(
-    "sealers,message",
-    [((), "non-empty"), (("0xaa", "0xbb", "0xaa"), "unique")],
-)
-def test_sealer_set_must_be_non_empty_and_unique(sealers, message):
-    n = len(sealers)
-    with pytest.raises(ValueError, match=message):
-        Simulation(
-            sealers=sealers,
-            policies=[SealerPolicy()] * n,
-            flags=[FIXED] * n,
-            block_interval_ms=5000,
-            delay_model=DelayModel(0, 0),
-            seed=0,
-        )
-
-
-def test_block_interval_must_be_positive():
-    with pytest.raises(ValueError, match="block interval"):
-        Simulation(
-            sealers=("0xaa",),
-            policies=[SealerPolicy()],
-            flags=[FIXED],
-            block_interval_ms=0,
-            delay_model=DelayModel(0, 0),
-            seed=0,
-        )
-
-
-def test_tx_cap_must_not_be_negative():
-    with pytest.raises(ValueError, match="tx cap"):
-        Simulation(
-            sealers=("0xaa",),
-            policies=[SealerPolicy()],
-            flags=[FIXED],
-            block_interval_ms=5000,
-            delay_model=DelayModel(0, 0),
-            seed=0,
-            tx_cap=-1,
-        )
-
-
 def test_nonconvergence_detected_at_drain():
     sim = make_sim(n=2)
     sim.nodes[0].deliver(sealed_by(sim, 1, 1, 2, time_ms=0))
@@ -564,8 +517,8 @@ def test_store_lookups_per_event_stay_flat_as_runs_lengthen(monkeypatch):
 
     store_init = ChainStore.__init__
 
-    def counting_init(self, genesis):
-        store_init(self, genesis)
+    def counting_init(self):
+        store_init(self)
         self._headers, self._td = CountingDict(self._headers), CountingDict(self._td)
 
     monkeypatch.setattr(ChainStore, "__init__", counting_init)
