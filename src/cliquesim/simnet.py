@@ -26,10 +26,13 @@ uniform per-link delays and no message loss (partial synchrony: everything
 is eventually delivered). Each node keeps its own chain store, mempool and
 head, and owns the run's tallies of what happened at it (its seal attempts,
 the blocks it rejected); reports derive per-sealer counts from the nodes.
-Nodes share only the wire and the run's sealer-snapshot memo. Sharing
-the memo is sound because a block hash commits to its parent hash and so
-fixes the whole branch: every node that holds the block builds the same
-snapshot at it.
+Nodes share only the wire and the run's sealer-snapshot memo and its
+verdict memo. Sharing them is sound because a block hash commits to its
+parent hash and so fixes the whole branch: every node that holds the
+block builds the same snapshot at it, and every node with the same
+verification flags reaches the same verdict on it (EIP-225 makes a
+header's validity a function of the header and the snapshot at its
+parent).
 
 Timestamps vs. firing: a header carries the protocol-claimed time
 (parent + interval). Honest sealers only fire at or after the claim, but
@@ -51,6 +54,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 from . import strategies
 from .chain import BlockHeader, ChainStore, hash_header
 from .engine import (
+    RejectReason,
     SealerSnapshot,
     VerifyFlags,
     leader_index,
@@ -101,6 +105,14 @@ class Node:
     The node is also the run's only record of what happened at it: its own
     seal attempts (node i is sealer i) and every block it rejected, keyed by
     ``(sealer index, reason)``. Reports sum these; nothing else keeps them.
+
+    The mempool follows the head lazily. ``pool_head`` is the head it is
+    caught up to, always an ancestor of (or equal to) ``head``: a one-block
+    extension of the head moves only ``head``, and the mempool catches up
+    along ``pool_head -> head`` only when it is next read or rewritten (a
+    pack, the restore of a rejected own block, or any other head move).
+    Adopting a run of extensions one by one or all at once leaves the
+    same sets, so the delay changes nothing.
     """
 
     def __init__(
@@ -115,8 +127,9 @@ class Node:
         self.policy = policy
         self.flags = flags
         self.store = ChainStore()
-        self.head = self.store.genesis
+        self.head = self.pool_head = self.store.genesis
         self.mempool = Mempool()
+        self.verdicts = sim.verdicts.setdefault(flags, {})
         self.pending: ProposalPlan | None = None
         # Blocks whose parent we have not seen yet, keyed by that parent.
         self.orphans: dict[bytes, list[BlockHeader]] = {}
@@ -148,7 +161,10 @@ class Node:
 
         A block claimed for a later time waits in the event queue as an
         ``_admit`` entry due at that time; a block whose parent is missing
-        waits in ``orphans`` and is admitted right after the parent.
+        waits in ``orphans`` and is admitted right after the parent. The
+        verdict comes from the run's memo for this node's flags
+        (``Simulation.verdicts``), so of all the nodes with the same flags
+        only the first to import a block runs ``verify_header`` on it.
         """
         if header.sim_time_ms > self.sim.now:
             self.sim.schedule(header.sim_time_ms, DELIVERY, self._admit, header)
@@ -156,15 +172,25 @@ class Node:
         if header.parent not in self.store:
             self.orphans.setdefault(header.parent, []).append(header)
             return
-        reason = verify_header(header, self._snapshot_at(header.parent), self.flags)
+        block_hash = hash_header(header)
+        try:
+            reason = self.verdicts[block_hash]
+        except KeyError:
+            reason = self.verdicts[block_hash] = verify_header(
+                header, self._snapshot_at(header.parent), self.flags
+            )
         if reason is not None:
             self.rejections[header.sealer_index, reason.value] += 1
             if header.sealer_index == self.index:
+                self._sync_pool()
                 self.mempool.restore(header.tx_runs)
             return
-        block_hash = self.store.extend(header)
+        self.store.extend(header)
         new_head = self.store.select_head()
-        if new_head != self.head:
+        if new_head == block_hash and header.parent == self.head:
+            self.head = new_head
+            self.replan()
+        elif new_head != self.head:
             self._move_head(new_head)
         for child in self.orphans.pop(block_hash, ()):
             self._admit(child)
@@ -185,10 +211,30 @@ class Node:
             self.sim.snapshots[block_hash] = snapshot
         return snapshot
 
-    def _move_head(self, new_head: bytes) -> None:
-        abandoned, adopted = self.store.reorg(self.head, new_head)
-        self.head = new_head
+    def _sync_pool(self) -> None:
+        """Catch the mempool up to the ids created so far and to the head.
+
+        The blocks from ``pool_head`` to ``head`` extend the chain the
+        mempool follows, so they are adopted in one update and nothing is
+        abandoned.
+        """
         self.mempool.catch_up(self.sim.txs_generated)
+        if self.pool_head != self.head:
+            abandoned, adopted = self.store.reorg(self.pool_head, self.head)
+            self.mempool.on_canonical_update(abandoned, adopted)
+            self.pool_head = self.head
+
+    def _move_head(self, new_head: bytes) -> None:
+        """Move the head anywhere but to a one-block extension of it.
+
+        The mempool first catches up to the old head, then follows the
+        move. The two updates stay apart: a block adopted and then
+        abandoned must hand its ids back to pending, which one net diff
+        from ``pool_head`` to ``new_head`` would skip.
+        """
+        self._sync_pool()
+        abandoned, adopted = self.store.reorg(self.head, new_head)
+        self.head = self.pool_head = new_head
         self.mempool.on_canonical_update(abandoned, adopted)
         self.replan()
 
@@ -213,7 +259,7 @@ class Node:
         if plan is not self.pending or self.sim.now > self.sim.t_end:
             return
         self.pending = None
-        self.mempool.catch_up(self.sim.txs_generated)
+        self._sync_pool()
         tx_runs = self.mempool.pack_block(self.sim.config.tx_cap)
         header = BlockHeader(
             number=plan.height,
@@ -261,6 +307,8 @@ class Simulation:
         self._tx_batches: Iterator[tuple[int, range]] = iter(())
         self.txs_generated = 0
         self.snapshots: dict[bytes, SealerSnapshot] = {}  # block hash -> snapshot at it
+        # flags -> block hash -> verify_header's verdict under those flags
+        self.verdicts: dict[VerifyFlags, dict[bytes, RejectReason | None]] = {}
         self.nodes = [
             Node(self, i, policy, flags)
             for i, (policy, flags) in enumerate(zip(config.policies(), config.flag_list()))

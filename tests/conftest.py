@@ -101,20 +101,44 @@ def children(store: ChainStore, block_hash: bytes) -> list[bytes]:
     return [h for h in iter_hashes(store) if store.header(h).parent == block_hash]
 
 
-def pending_ids(sim, node) -> set[int]:
-    """``node``'s pending tx ids as of now, read without catching its mempool up.
+def canonical_diff(store: ChainStore, old: bytes, new: bytes):
+    """Independent oracle: strip the common prefix of two full chains."""
+    old_chain, new_chain = store.canonical_chain(old), store.canonical_chain(new)
+    fork = 0
+    while fork < min(len(old_chain), len(new_chain)) and old_chain[fork] == new_chain[fork]:
+        fork += 1
+    return old_chain[fork:], new_chain[fork:]
 
-    A node adds new ids lazily: those from its mempool's ``frontier`` up
-    to ``sim.txs_generated`` are created but not yet added, and count as
-    pending. Calling ``Mempool.catch_up`` here would hide a catch-up the
-    simulator missed, so this only reads, and checks that the added ids
-    all lie below the frontier.
+
+def tx_ids_of(headers) -> set[int]:
+    return {tx for header in headers for tx in header.tx_ids}
+
+
+def ledger_at_head(sim, node) -> tuple[set[int], set[int]]:
+    """``node``'s pending and canonical tx ids as of its head and now, read-only.
+
+    A node's mempool follows it lazily in two ways. New ids from the
+    mempool's ``frontier`` up to ``sim.txs_generated`` are created but not
+    yet added, and count as pending. And the mempool's sets are as of
+    ``node.pool_head``: the blocks from there to ``node.head`` (the lag)
+    are adopted but not yet applied, so their ids count as canonical and
+    not pending. Catching the mempool up here would hide a catch-up the
+    simulator missed, so this calls no method of the node or its mempool
+    that writes; it derives both sets from copies. It checks the raw state
+    on the way: the added ids all lie below the frontier, the canonical
+    set holds exactly the ids on the chain to ``pool_head``, and
+    ``pool_head`` is an ancestor of ``head`` (the lag, read through
+    ``canonical_diff``, abandons nothing).
     """
-    pool = node.mempool
-    pending = set(pool.pending)
-    assert pool.frontier <= sim.txs_generated, f"node {node.index} at {sim.now} ms"
-    assert max(pending, default=-1) < pool.frontier, f"node {node.index} at {sim.now} ms"
-    return pending | set(range(pool.frontier, sim.txs_generated))
+    pool, where = node.mempool, f"node {node.index} at {sim.now} ms"
+    pending, canonical = set(pool.pending), set(pool.canonical)
+    assert pool.frontier <= sim.txs_generated, where
+    assert max(pending, default=-1) < pool.frontier, where
+    assert canonical == tx_ids_of(node.store.canonical_chain(node.pool_head)), where
+    abandoned, lag = canonical_diff(node.store, node.pool_head, node.head)
+    assert not abandoned, f"{where}: pool_head is not an ancestor of head"
+    lag_ids = tx_ids_of(lag)
+    return (pending | set(range(pool.frontier, sim.txs_generated))) - lag_ids, canonical | lag_ids
 
 
 def in_flight(sim, node) -> set[int]:

@@ -12,7 +12,7 @@ from cliquesim import (
     make_genesis,
 )
 
-from conftest import brute_force_head, child_header, children, grow, path_difficulty
+from conftest import brute_force_head, canonical_diff, child_header, children, grow, path_difficulty
 
 
 # -- hashing -----------------------------------------------------------------
@@ -232,15 +232,6 @@ def test_canonical_numbers_have_no_gaps_random():
 
 # -- reorg diff and chain tail ------------------------------------------------------
 
-def canonical_diff(store: ChainStore, old: bytes, new: bytes):
-    """Independent oracle: strip the common prefix of two full chains."""
-    old_chain, new_chain = store.canonical_chain(old), store.canonical_chain(new)
-    fork = 0
-    while fork < min(len(old_chain), len(new_chain)) and old_chain[fork] == new_chain[fork]:
-        fork += 1
-    return old_chain[fork:], new_chain[fork:]
-
-
 def test_reorg_cases(store):
     a1 = grow(store, store.genesis)
     a2 = grow(store, a1)
@@ -253,7 +244,7 @@ def test_reorg_cases(store):
     assert store.reorg(a3, b2) == ([h(a2), h(a3)], [h(b2)])
     assert store.reorg(b2, a3) == ([h(b2)], [h(a2), h(a3)])
     assert store.reorg(store.genesis, a3) == ([], [h(a1), h(a2), h(a3)])
-    # One-block extensions of the old head, which ``reorg`` answers without a walk.
+    # One-block extensions of the old head: the walk stops after one step of the new side.
     assert store.reorg(a2, a3) == ([], [h(a3)])
     assert store.reorg(a1, b2) == ([], [h(b2)])
     assert store.reorg(store.genesis, a1) == ([], [h(a1)])
@@ -275,7 +266,7 @@ def test_reorg_and_chain_tail_match_full_chains_on_random_trees():
             depth = rng.randrange(6)
             chain = store.canonical_chain(new)
             assert store.chain_tail(new, depth) == chain[max(0, len(chain) - depth):]
-        # Every one-block extension in the tree, so the no-walk answer meets the oracle too.
+        # Every one-block extension in the tree, the shortest walk there is.
         for new in hashes[1:]:
             parent = store.header(new).parent
             assert store.reorg(parent, new) == canonical_diff(store, parent, new)

@@ -23,6 +23,12 @@ scenarios set both link delay bounds to 0, so the drain window after
 on its closing instant; in the two with sealer 2 frontrunning, every node
 still holds one future-dated block when the run ends. They were produced
 before the event queue came to hold handlers instead of payload types.
+The ``slow-links-*`` scenarios draw link delays of up to 3 s (all honest,
+and sealer 2 frontrunning) or 4 s (sealers 2 and 4 frontrunning, with
+``tx_cap`` 3), all under the hardened verifier, so every node reorganises
+several times a minute; a mempool update that went wrong only across a
+reorg shows up there. They were produced before a node's mempool came to
+follow its head lazily.
 
 The block log and the report count each block's txs but do not list
 them. ``golden/heads.json`` therefore pins node 0's final head hash, which

@@ -1,13 +1,16 @@
 """Whole-run properties: node state at the end of a run, and work per event.
 
 The node keeps its tx ledger, its head and the sealer snapshot at that head
-up to date incrementally as blocks arrive. The invariant test rebuilds each
-of them from the node's chain store after the run and compares, and checks
+up to date incrementally as blocks arrive (the ledger lazily, as of its
+``pool_head``). The invariant test rebuilds each of them from the node's
+chain store after the run and compares, and checks
 every entry of the run's snapshot memo that node could read against a
 rebuild from the node's own store. The work tests count the headers the
 chain store's walks hand back, which must grow with the number of
 dispatched events, not with the length of the chain; the snapshots built,
 which must be at most one per block whatever the committee size; the
+verdicts reached, at most one per block and flag set; the mempool
+updates, which a one-block extension of the head must not make; the
 bytes a pack allocates when ``tx_cap`` binds, which must not grow with
 the pending pool; the bytes a pack or a header digest allocates,
 which must not grow with the ids per block; and the mempool calls of a
@@ -17,8 +20,10 @@ add up to the nodes' ``rejected`` counts and name only the frontrunner.
 
 import dataclasses
 import functools
+import json
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -28,15 +33,18 @@ from cliquesim import (
     ChainStore,
     Mempool,
     Simulation,
+    VerifyFlags,
     build_simulation,
+    hash_header,
     parse_scenario,
     preset_config,
+    preset_text,
     run_scenario,
     snapshot_for_chain,
 )
 from cliquesim.simnet import Node
 
-from conftest import brute_force_head, iter_hashes, pending_ids, short_preset
+from conftest import brute_force_head, in_flight, iter_hashes, ledger_at_head, short_preset
 
 # Every ChainStore method that walks parent pointers and returns headers.
 WALKS = ("canonical_chain", "reorg", "chain_tail")
@@ -61,6 +69,17 @@ forced_difficulty = 0
 FIXED_N21 = dataclasses.replace(preset_config("fixed"), n_sealers=21, duration_ms=600_000)
 
 
+GOLDEN_SCENARIOS = json.loads((Path(__file__).parent / "golden" / "scenarios.json").read_text())
+MIXED_FLAGS = parse_scenario(GOLDEN_SCENARIOS["vulnerable-slow-attacker-fixed-peer"]["scenario"])
+SLOW_LINKS = sorted(name for name in GOLDEN_SCENARIOS if name.startswith("slow-links-"))
+# The flawed verifier everywhere but at sealer 3, so the frontrunner's
+# blocks pass at four nodes and fail at one.
+ATTACK_FIXED_PEER = parse_scenario(
+    preset_text("attack").replace("duration_ms = 1800000", "duration_ms = 600000")
+    + "\n[sealer 3]\nverify = fixed\n"
+)
+
+
 def _configs():
     for name in ("honest", "attack", "fixed"):
         for seed in range(3):
@@ -68,6 +87,8 @@ def _configs():
             yield pytest.param(config, id=f"{name}-seed{seed}")
     yield pytest.param(parse_scenario(ZERO_DIFFICULTY_SCENARIO), id="custom-difficulty-0")
     yield pytest.param(FIXED_N21, id="fixed-n21")
+    for name in SLOW_LINKS:
+        yield pytest.param(parse_scenario(GOLDEN_SCENARIOS[name]["scenario"]), id=name)
 
 
 @pytest.mark.parametrize("config", list(_configs()))
@@ -77,8 +98,10 @@ def test_end_of_run_node_invariants(config):
     for node in sim.nodes:
         chain = node.store.canonical_chain(node.head)
         assert node.head == brute_force_head(node.store)
-        assert set(node.mempool.canonical) == {tx for header in chain for tx in header.tx_ids}
-        assert set(node.mempool.canonical).isdisjoint(pending_ids(sim, node))
+        pending, canonical = ledger_at_head(sim, node)
+        assert canonical == {tx for header in chain for tx in header.tx_ids}
+        assert canonical.isdisjoint(pending)
+        assert pending | canonical | in_flight(sim, node) == set(range(sim.txs_generated))
         n_sealers = len(sim.sealers)
         assert sim.snapshots[node.head] == snapshot_for_chain(n_sealers, chain)
         for h in iter_hashes(node.store):
@@ -155,13 +178,107 @@ def test_snapshot_built_once_per_block(monkeypatch, config):
     assert calls <= len(blocks), f"{calls} snapshots built for {len(blocks)} distinct blocks"
 
 
+@pytest.mark.parametrize(
+    "config,flag_sets",
+    [
+        pytest.param(FIXED_N21, 1, id="fixed-n21"),
+        pytest.param(MIXED_FLAGS, 2, id="vulnerable-slow-attacker-fixed-peer"),
+        pytest.param(ATTACK_FIXED_PEER, 2, id="attack-fixed-peer"),
+    ],
+)
+def test_verdict_reached_once_per_block_and_flag_set(monkeypatch, config, flag_sets):
+    """Every node with the same flags shares one verdict per block.
+
+    On ``fixed-n21`` each block reaches 20 peers with the same flags. The
+    two mixed-flag runs have one peer that verifies with the hardened
+    flags while the rest run the flawed ones, so a block is verified once
+    under each flag set; in ``attack-fixed-peer`` the two verdicts differ.
+    Every block a node holds must pass its own flags against a snapshot
+    rebuilt from its own store, so no node took a verdict reached under
+    other flags.
+    """
+    calls: Counter[tuple[bytes, VerifyFlags]] = Counter()
+    verify = cliquesim.simnet.verify_header
+
+    def counting(header, snapshot, flags):
+        calls[hash_header(header), flags] += 1
+        return verify(header, snapshot, flags)
+
+    monkeypatch.setattr(cliquesim.simnet, "verify_header", counting)
+    sim = build_simulation(config)
+    sim.run_until(config.duration_ms)
+    assert max(calls.values()) == 1, f"{calls.most_common(1)} verdicts for one block and flag set"
+    assert len({flags for _, flags in calls}) == flag_sets
+    for node in sim.nodes:
+        for h in iter_hashes(node.store):
+            header = node.store.header(h)
+            if not header.is_genesis():
+                chain = node.store.canonical_chain(header.parent)
+                assert verify(header, snapshot_for_chain(len(sim.sealers), chain), node.flags) is None
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(FIXED_N21, id="fixed-n21"),
+        pytest.param(MIXED_FLAGS, id="vulnerable-slow-attacker-fixed-peer"),
+        *(pytest.param(parse_scenario(GOLDEN_SCENARIOS[name]["scenario"]), id=name) for name in SLOW_LINKS),
+    ],
+)
+def test_mempool_follows_the_head_only_when_used(monkeypatch, config):
+    """A one-block extension of the head leaves the mempool alone.
+
+    The mempool catches up to the head only to pack a block, to restore
+    the txs of an own block that was rejected, or before any other head
+    move, which then updates it once more to follow the move. So per node
+    the updates are at most the packs, plus the restores, plus two per
+    head move that is not a one-block extension. The moves are read off
+    the heads each node plans from (``replan`` runs after every head
+    move), not off the simulator's own choice of path. The slow-link
+    scenarios reorganise at every node several times a minute.
+    """
+    calls: Counter[tuple[int, str]] = Counter()  # (id of node or mempool, method) -> calls
+    planned_from: dict[int, bytes] = {}  # id of node -> head of its last plan
+    other_moves: Counter[int] = Counter()  # id of node -> moves that are not one-block extensions
+
+    def counting(owner, name):
+        method = getattr(owner, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[id(self), name] += 1
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    replan = Node.replan
+
+    def watching(node):
+        last = planned_from.get(id(node), node.head)
+        if node.head != last and node.store.header(node.head).parent != last:
+            other_moves[id(node)] += 1
+        planned_from[id(node)] = node.head
+        replan(node)
+
+    for owner, name in ((Mempool, "pack_block"), (Mempool, "restore"), (Mempool, "on_canonical_update")):
+        monkeypatch.setattr(owner, name, counting(owner, name))
+    monkeypatch.setattr(Node, "replan", watching)
+    sim = build_simulation(config)
+    sim.run_until(config.duration_ms)
+    for node in sim.nodes:
+        pool = id(node.mempool)
+        updates = calls[pool, "on_canonical_update"]
+        bound = calls[pool, "pack_block"] + calls[pool, "restore"] + 2 * other_moves[id(node)]
+        assert updates <= bound, f"node {node.index}: {updates} mempool updates, bound {bound}"
+
+
 def test_tx_batches_touch_no_mempool(monkeypatch):
     """A tx batch raises one counter; a node adds the new ids when it next uses its mempool.
 
     On ``fixed`` at N = 21 a batch that went to every mempool would cost
     21 ``Mempool.add`` calls. Here ``_add_txs`` makes no mempool call at
     all, and a node's adds are bounded by the calls that use its mempool:
-    its head moves, its seal timers and its own rejected blocks' restores.
+    its head moves other than one-block extensions, its seal timers and
+    its own rejected blocks' restores.
     """
     config = FIXED_N21
     calls: Counter[tuple[int, str]] = Counter()  # (id of node or mempool, method) -> calls

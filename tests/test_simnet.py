@@ -18,7 +18,7 @@ from cliquesim import (
 )
 from cliquesim.simnet import DELIVERY, SEAL, TXS, Node
 
-from conftest import in_flight, pending_ids, short_preset
+from conftest import in_flight, ledger_at_head, short_preset
 
 
 def make_sim(n=5, flags=FIXED, delay=(0, 0), seed=0, sealer_specs=None):
@@ -399,7 +399,7 @@ def test_tx_conservation_per_node_honest():
     sim = build_simulation(short_preset("honest", 120_000))
     sim.run_until(120_000)
     for node in sim.nodes:
-        pending, canonical = pending_ids(sim, node), set(node.mempool.canonical)
+        pending, canonical = ledger_at_head(sim, node)
         assert not pending & canonical
         assert pending | canonical == set(range(sim.txs_generated))
 
@@ -408,7 +408,7 @@ def test_tx_conservation_per_node_attack():
     sim = build_simulation(short_preset("attack", 120_000))
     sim.run_until(120_000)
     for node in sim.nodes:
-        pending, canonical = pending_ids(sim, node), set(node.mempool.canonical)
+        pending, canonical = ledger_at_head(sim, node)
         assert not pending & canonical
         assert pending | canonical | in_flight(sim, node) == set(range(sim.txs_generated))
 
@@ -420,8 +420,10 @@ def test_tx_conservation_after_every_event(preset, monkeypatch):
     A rejected own block must hand its txs back at once: honest sealers
     would include the dropped ids later, so an end-of-run check misses it.
     Every event handler is wrapped, and the check runs when the outermost
-    call returns (``seal`` delivers the new block to its own node). Ids a
-    node has not caught up to yet count as pending (``pending_ids``).
+    call returns (``seal`` delivers the new block to its own node). The
+    sets are read as of each node's head (``ledger_at_head``): ids its
+    mempool has not caught up to yet count as pending, and the ids of
+    blocks its head gained since the mempool last followed it as canonical.
     """
     sim = None
     depth = checks = 0
@@ -437,7 +439,7 @@ def test_tx_conservation_after_every_event(preset, monkeypatch):
             checks += 1
             generated = set(range(sim.txs_generated))
             for node in sim.nodes:
-                pending, canonical = pending_ids(sim, node), set(node.mempool.canonical)
+                pending, canonical = ledger_at_head(sim, node)
                 assert pending.isdisjoint(canonical), f"node {node.index} at {sim.now} ms"
                 assert pending | canonical | in_flight(sim, node) == generated, f"node {node.index} at {sim.now} ms"
 
