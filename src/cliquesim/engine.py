@@ -5,16 +5,19 @@ sealing, the recently-signed window, and the three-check verification
 pipeline. Every operation here is a pure function. A sealer snapshot is
 the sealer count plus the set of sealers that signed recently:
 ``snapshot_for_chain`` applies the window to a chain's last headers once,
-and every later check is a membership test. The per-check enable flags let
-a run model either the hardened verifier (all three checks) or the flawed
-variant that only bounds the difficulty value.
+and every later check is a membership test. A snapshot carries the
+headers it read, so the snapshot at a child is built from its parent's
+and the child header alone, as EIP-225 defines it. The per-check enable
+flags let a run model either the hardened verifier (all three checks) or
+the flawed variant that only bounds the difficulty value.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 from .chain import BlockHeader
 
@@ -69,10 +72,16 @@ class SealerSnapshot:
     signed block ``s`` is in it at ``s .. s+W-2`` and so may not sign
     ``s+1 .. s+W-1``; it is free again at ``s+W``. ``snapshot_for_chain``
     is the one place that applies the window.
+
+    ``tail`` holds those last W - 1 headers, oldest first: the snapshot at
+    the next block is ``snapshot_for_chain(n_sealers, tail + (next,))``.
+    It is not part of the snapshot's value, so two snapshots with the same
+    count and recent signers compare and hash equal.
     """
 
     n_sealers: int
     recent: frozenset[int] = frozenset()
+    tail: tuple[BlockHeader, ...] = field(default=(), compare=False, repr=False)
 
 
 def signed_recently(snapshot: SealerSnapshot, sealer_index: int) -> bool:
@@ -80,18 +89,16 @@ def signed_recently(snapshot: SealerSnapshot, sealer_index: int) -> bool:
     return sealer_index in snapshot.recent
 
 
-def snapshot_for_chain(n_sealers: int, headers: list[BlockHeader]) -> SealerSnapshot:
+def snapshot_for_chain(n_sealers: int, headers: Sequence[BlockHeader]) -> SealerSnapshot:
     """Snapshot as of the last header of a canonical sequence (genesis first).
 
-    Only the last W - 1 headers matter, so a caller may pass just those.
+    Only the last W - 1 headers matter, so a caller may pass just those,
+    such as a parent snapshot's ``tail`` plus the child header.
     """
     kept = recents_window(n_sealers) - 1
-    recent = frozenset(
-        header.sealer_index
-        for header in headers[max(len(headers) - kept, 0):]
-        if not header.is_genesis()
-    )
-    return SealerSnapshot(n_sealers, recent)
+    tail = tuple(headers[max(len(headers) - kept, 0):])
+    recent = frozenset(header.sealer_index for header in tail if not header.is_genesis())
+    return SealerSnapshot(n_sealers, recent, tail)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ parent hash and so fixes the whole branch: every node that holds the
 block builds the same snapshot at it, and every node with the same
 verification flags reaches the same verdict on it (EIP-225 makes a
 header's validity a function of the header and the snapshot at its
-parent).
+parent). The memo builds each block's snapshot from its parent's and the
+block's header, so no snapshot walks the chain.
 
 Timestamps vs. firing: a header carries the protocol-claimed time
 (parent + interval). Honest sealers only fire at or after the claim, but
@@ -52,13 +53,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from . import strategies
-from .chain import BlockHeader, ChainStore, hash_header
+from .chain import GENESIS, BlockHeader, ChainStore
 from .engine import (
     RejectReason,
     SealerSnapshot,
     VerifyFlags,
     leader_index,
-    recents_window,
     snapshot_for_chain,
     uniform_int,
     verify_header,
@@ -109,10 +109,11 @@ class Node:
     The mempool follows the head lazily. ``pool_head`` is the head it is
     caught up to, always an ancestor of (or equal to) ``head``: a one-block
     extension of the head moves only ``head``, and the mempool catches up
-    along ``pool_head -> head`` only when it is next read or rewritten (a
-    pack, the restore of a rejected own block, or any other head move).
-    Adopting a run of extensions one by one or all at once leaves the
-    same sets, so the delay changes nothing.
+    along ``pool_head -> head`` only when it is next read or moved (a pack
+    or any other head move). Adopting a run of extensions one by one or
+    all at once leaves the same sets, so the delay changes nothing. The
+    restore of a rejected own block does not catch up first: it commutes
+    with the later adoption (``Mempool.restore``).
     """
 
     def __init__(
@@ -148,7 +149,7 @@ class Node:
         Every call counts as an arrival; a block this node has seen before
         is counted as a duplicate and dropped.
         """
-        block_hash = hash_header(header)
+        block_hash = header.digest
         self.arrivals += 1
         if block_hash in self.seen:
             self.duplicates += 1
@@ -172,7 +173,7 @@ class Node:
         if header.parent not in self.store:
             self.orphans.setdefault(header.parent, []).append(header)
             return
-        block_hash = hash_header(header)
+        block_hash = header.digest
         try:
             reason = self.verdicts[block_hash]
         except KeyError:
@@ -182,7 +183,6 @@ class Node:
         if reason is not None:
             self.rejections[header.sealer_index, reason.value] += 1
             if header.sealer_index == self.index:
-                self._sync_pool()
                 self.mempool.restore(header.tx_runs)
             return
         self.store.extend(header)
@@ -200,28 +200,33 @@ class Node:
 
         The run memoises one snapshot per block in ``Simulation.snapshots``,
         shared by all nodes: the hash fixes the whole branch, so whichever
-        node builds the entry first, from its own store, builds the one every
-        other node would.
+        node builds the entry first builds the one every other node would.
+        An entry is built from the parent's entry and the block's header
+        alone. The parent's entry always exists: a block is stored only
+        after a verdict, every verdict was reached against the snapshot at
+        the block's parent, and genesis's entry is made with the memo.
         """
-        snapshot = self.sim.snapshots.get(block_hash)
+        snapshots = self.sim.snapshots
+        snapshot = snapshots.get(block_hash)
         if snapshot is None:
-            n_sealers = len(self.sim.sealers)
-            depth = recents_window(n_sealers) - 1
-            snapshot = snapshot_for_chain(n_sealers, self.store.chain_tail(block_hash, depth))
-            self.sim.snapshots[block_hash] = snapshot
+            header = self.store.header(block_hash)
+            snapshot = snapshots[block_hash] = snapshot_for_chain(
+                len(self.sim.sealers), snapshots[header.parent].tail + (header,)
+            )
         return snapshot
 
     def _sync_pool(self) -> None:
         """Catch the mempool up to the ids created so far and to the head.
 
         The blocks from ``pool_head`` to ``head`` extend the chain the
-        mempool follows, so they are adopted in one update and nothing is
-        abandoned.
+        mempool follows, so one walk back from ``head`` finds them all, and
+        they are adopted in one update that abandons nothing.
         """
         self.mempool.catch_up(self.sim.txs_generated)
         if self.pool_head != self.head:
-            abandoned, adopted = self.store.reorg(self.pool_head, self.head)
-            self.mempool.on_canonical_update(abandoned, adopted)
+            store = self.store
+            lag = store.header(self.head).number - store.header(self.pool_head).number
+            self.mempool.on_canonical_update((), store.chain_tail(self.head, lag))
             self.pool_head = self.head
 
     def _move_head(self, new_head: bytes) -> None:
@@ -306,7 +311,10 @@ class Simulation:
         self._next_seq = 0
         self._tx_batches: Iterator[tuple[int, range]] = iter(())
         self.txs_generated = 0
-        self.snapshots: dict[bytes, SealerSnapshot] = {}  # block hash -> snapshot at it
+        # block hash -> snapshot at it; genesis's entry is the root the others are built from
+        self.snapshots: dict[bytes, SealerSnapshot] = {
+            GENESIS.digest: snapshot_for_chain(config.n_sealers, (GENESIS,))
+        }
         # flags -> block hash -> verify_header's verdict under those flags
         self.verdicts: dict[VerifyFlags, dict[bytes, RejectReason | None]] = {}
         self.nodes = [

@@ -10,11 +10,11 @@ range, and a block carries its ids as a few runs of consecutive ids
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from math import inf
-from operator import sub
+from operator import attrgetter, sub
 
 from .chain import BlockHeader
 
@@ -142,7 +142,8 @@ class Mempool:
     of them sees the same sets as if every batch had been added when it
     was created. A restore needs no catch-up: it hands back ids of an own
     pack, all below the frontier, so it and a later catch-up touch
-    disjoint ids.
+    disjoint ids. Nor does it need the owner's canonical set to be up to
+    date, because it commutes with a later adoption (``restore``).
     """
 
     pending: IdRanges = field(default_factory=IdRanges)
@@ -168,25 +169,53 @@ class Mempool:
         return self.pending.take(cap)
 
     def restore(self, tx_runs: tuple[tuple[int, int], ...]) -> None:
-        """Return the id runs of an own block that never took effect, except ids canonical by now."""
+        """Return the id runs of an own block that never took effect, except ids canonical by now.
+
+        A restore and a later ``on_canonical_update`` that adopts blocks
+        commute: an id the update adopts ends canonical and not pending
+        either way. So an owner whose canonical set lags its head may
+        restore before it adopts the lag.
+        """
         for start, stop in tx_runs:
             for canonical_start, canonical_stop in self.canonical.overlap(start, stop):
                 self.pending.add(start, canonical_start)
                 start = canonical_stop
             self.pending.add(start, stop)
 
-    def on_canonical_update(self, abandoned: list[BlockHeader], adopted: list[BlockHeader]) -> None:
+    def on_canonical_update(
+        self, abandoned: Sequence[BlockHeader], adopted: Sequence[BlockHeader]
+    ) -> None:
         """Move txs of abandoned blocks back to pending and txs of adopted blocks to canonical.
 
         ``abandoned`` and ``adopted`` are the two branches a head move
         leaves and joins, past their common ancestor (``ChainStore.reorg``).
-        A tx in both branches ends canonical.
+        A tx in both branches ends canonical. A branch only removes ids
+        from one set and adds them to the other, so its blocks may be
+        applied in any order, and as the union of their runs: a run of
+        blocks that pack consecutive ids costs one update, not one per block.
         """
-        for header in abandoned:
-            for start, stop in header.tx_runs:
-                self.canonical.remove(start, stop)
-                self.pending.add(start, stop)
-        for header in adopted:
-            for start, stop in header.tx_runs:
-                self.canonical.add(start, stop)
-                self.pending.remove(start, stop)
+        for start, stop in _union(abandoned):
+            self.canonical.remove(start, stop)
+            self.pending.add(start, stop)
+        for start, stop in _union(adopted):
+            self.canonical.add(start, stop)
+            self.pending.remove(start, stop)
+
+
+def _union(headers: Sequence[BlockHeader]) -> Sequence[tuple[int, int]]:
+    """The ids of all ``headers``' runs as ascending, disjoint, non-touching runs."""
+    if len(headers) < 2:
+        return headers[0].tx_runs if headers else ()
+    runs = sorted(chain.from_iterable(map(attrgetter("tx_runs"), headers)))
+    if not runs:  # every block is empty, as under ``tx_cap = 0``
+        return runs
+    merged = []
+    start, stop = runs[0]
+    for run_start, run_stop in runs:
+        if run_start > stop:
+            merged.append((start, stop))
+            start = run_start
+        if run_stop > stop:
+            stop = run_stop
+    merged.append((start, stop))
+    return merged

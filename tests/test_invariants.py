@@ -5,9 +5,12 @@ up to date incrementally as blocks arrive (the ledger lazily, as of its
 ``pool_head``). The invariant test rebuilds each of them from the node's
 chain store after the run and compares, and checks
 every entry of the run's snapshot memo that node could read against a
-rebuild from the node's own store. The work tests count the headers the
-chain store's walks hand back, which must grow with the number of
-dispatched events, not with the length of the chain; the snapshots built,
+rebuild from the node's own store, at every block of the store: the memo
+builds each entry from the parent's, headers read included, so one wrong
+entry would spoil all below it. The work tests count
+the headers the chain store's walks hand back, which must grow with the
+number of dispatched events, not with the length of the chain; the
+header hashes, at most one per stored block; the snapshots built,
 which must be at most one per block whatever the committee size; the
 verdicts reached, at most one per block and flag set; the mempool
 updates, which a one-block extension of the head must not make; the
@@ -21,6 +24,7 @@ add up to the nodes' ``rejected`` counts and name only the frontrunner.
 import dataclasses
 import functools
 import json
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -32,10 +36,12 @@ from cliquesim import (
     BlockHeader,
     ChainStore,
     Mempool,
+    SealerSnapshot,
     Simulation,
     VerifyFlags,
     build_simulation,
     hash_header,
+    make_genesis,
     parse_scenario,
     preset_config,
     preset_text,
@@ -85,9 +91,12 @@ def _configs():
         for seed in range(3):
             config = dataclasses.replace(preset_config(name), seed=seed)
             yield pytest.param(config, id=f"{name}-seed{seed}")
+    for n_sealers in (1, 2):  # at N = 1 the recents window keeps no block (W - 1 = 0)
+        config = dataclasses.replace(preset_config("honest"), n_sealers=n_sealers, duration_ms=300_000)
+        yield pytest.param(config, id=f"honest-n{n_sealers}")
     yield pytest.param(parse_scenario(ZERO_DIFFICULTY_SCENARIO), id="custom-difficulty-0")
     yield pytest.param(FIXED_N21, id="fixed-n21")
-    for name in SLOW_LINKS:
+    for name in SLOW_LINKS:  # one has two frontrunners
         yield pytest.param(parse_scenario(GOLDEN_SCENARIOS[name]["scenario"]), id=name)
 
 
@@ -104,10 +113,33 @@ def test_end_of_run_node_invariants(config):
         assert pending | canonical | in_flight(sim, node) == set(range(sim.txs_generated))
         n_sealers = len(sim.sealers)
         assert sim.snapshots[node.head] == snapshot_for_chain(n_sealers, chain)
+        # The memo builds each entry from its parent's, headers read included.
+        # A block no node planned on or verified a child against has no entry
+        # yet; ``_snapshot_at`` builds it here from its parent's, as a run would.
         for h in iter_hashes(node.store):
-            if h in sim.snapshots:
-                rebuilt = snapshot_for_chain(n_sealers, node.store.canonical_chain(h))
-                assert sim.snapshots[h] == rebuilt
+            full = node.store.canonical_chain(h)
+            memo = node._snapshot_at(h)
+            assert memo == snapshot_for_chain(n_sealers, full), f"node {node.index}"
+            # the last W - 1 = floor(N/2) headers, or the whole chain if shorter
+            assert memo.tail == tuple(full[max(0, len(full) - n_sealers // 2):]), f"node {node.index}"
+
+
+def test_snapshot_value_is_the_count_and_the_recent_signers():
+    def chain_of(*sealers):
+        chain = [make_genesis()]
+        for number, sealer in enumerate(sealers, start=1):
+            parent = hash_header(chain[-1])
+            chain.append(BlockHeader(number, parent, sealer, f"0x{sealer:040x}", 1, number * 5000))
+        return chain
+
+    # N = 5 keeps the last two blocks: sealers 3 and 4 on both branches, in other blocks.
+    one = snapshot_for_chain(5, chain_of(1, 3, 4))
+    other = snapshot_for_chain(5, chain_of(4, 3))
+    assert one.tail != other.tail
+    assert one == other and hash(one) == hash(other)
+    assert one == SealerSnapshot(5, frozenset({3, 4}))
+    compared = [f.name for f in dataclasses.fields(SealerSnapshot) if f.compare]
+    assert compared == ["n_sealers", "recent"]
 
 
 @pytest.mark.parametrize(
@@ -153,6 +185,44 @@ def test_chain_walks_per_event_do_not_grow_with_run_length(monkeypatch):
     short = _walked_per_event(monkeypatch, 10)
     long = _walked_per_event(monkeypatch, 40)
     assert long <= 1.25 * short, f"headers walked per event: {short:.2f} at 10 min, {long:.2f} at 40 min"
+
+
+def test_each_stored_block_is_hashed_once(monkeypatch):
+    """An import reads the digest once; only ``ChainStore.extend`` calls ``hash_header``.
+
+    Each store also hashes its genesis header once. Every module that
+    imported ``hash_header`` by name gets the counting copy.
+    """
+    hashes = extends = stores = 0
+
+    def counting_hash(header):
+        nonlocal hashes
+        hashes += 1
+        return hash_header(header)
+
+    extend, store_init = ChainStore.extend, ChainStore.__init__
+
+    def counting_extend(self, header):
+        nonlocal extends
+        extends += 1
+        return extend(self, header)
+
+    def counting_init(self):
+        nonlocal stores
+        stores += 1
+        store_init(self)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cliquesim") and getattr(module, "hash_header", None) is hash_header:
+            monkeypatch.setattr(module, "hash_header", counting_hash)
+    monkeypatch.setattr(ChainStore, "extend", counting_extend)
+    monkeypatch.setattr(ChainStore, "__init__", counting_init)
+    config = FIXED_N21
+    sim = build_simulation(config)
+    sim.run_until(config.duration_ms)
+    arrivals = sum(node.arrivals for node in sim.nodes)
+    assert stores == 21 and extends > 1_000 and arrivals > extends
+    assert hashes <= extends + stores, f"{hashes} hashes for {extends} extends and {stores} stores"
 
 
 @pytest.mark.parametrize(
@@ -228,11 +298,11 @@ def test_verdict_reached_once_per_block_and_flag_set(monkeypatch, config, flag_s
 def test_mempool_follows_the_head_only_when_used(monkeypatch, config):
     """A one-block extension of the head leaves the mempool alone.
 
-    The mempool catches up to the head only to pack a block, to restore
-    the txs of an own block that was rejected, or before any other head
-    move, which then updates it once more to follow the move. So per node
-    the updates are at most the packs, plus the restores, plus two per
-    head move that is not a one-block extension. The moves are read off
+    The mempool catches up to the head only to pack a block or before any
+    other head move, which then updates it once more to follow the move.
+    The restore of a rejected own block does not catch up: it commutes
+    with the later adoption. So per node the updates are at most the
+    packs plus two per head move that is not a one-block extension. The moves are read off
     the heads each node plans from (``replan`` runs after every head
     move), not off the simulator's own choice of path. The slow-link
     scenarios reorganise at every node several times a minute.
@@ -259,7 +329,7 @@ def test_mempool_follows_the_head_only_when_used(monkeypatch, config):
         planned_from[id(node)] = node.head
         replan(node)
 
-    for owner, name in ((Mempool, "pack_block"), (Mempool, "restore"), (Mempool, "on_canonical_update")):
+    for owner, name in ((Mempool, "pack_block"), (Mempool, "on_canonical_update")):
         monkeypatch.setattr(owner, name, counting(owner, name))
     monkeypatch.setattr(Node, "replan", watching)
     sim = build_simulation(config)
@@ -267,7 +337,7 @@ def test_mempool_follows_the_head_only_when_used(monkeypatch, config):
     for node in sim.nodes:
         pool = id(node.mempool)
         updates = calls[pool, "on_canonical_update"]
-        bound = calls[pool, "pack_block"] + calls[pool, "restore"] + 2 * other_moves[id(node)]
+        bound = calls[pool, "pack_block"] + 2 * other_moves[id(node)]
         assert updates <= bound, f"node {node.index}: {updates} mempool updates, bound {bound}"
 
 
@@ -277,8 +347,7 @@ def test_tx_batches_touch_no_mempool(monkeypatch):
     On ``fixed`` at N = 21 a batch that went to every mempool would cost
     21 ``Mempool.add`` calls. Here ``_add_txs`` makes no mempool call at
     all, and a node's adds are bounded by the calls that use its mempool:
-    its head moves other than one-block extensions, its seal timers and
-    its own rejected blocks' restores.
+    its head moves other than one-block extensions and its seal timers.
     """
     config = FIXED_N21
     calls: Counter[tuple[int, str]] = Counter()  # (id of node or mempool, method) -> calls
@@ -316,7 +385,7 @@ def test_tx_batches_touch_no_mempool(monkeypatch):
     assert mempool_calls_in_batches == 0, "a tx batch called a mempool method"
     for node in sim.nodes:
         pool = id(node.mempool)
-        catch_ups = calls[id(node), "_move_head"] + calls[id(node), "seal"] + calls[pool, "restore"]
+        catch_ups = calls[id(node), "_move_head"] + calls[id(node), "seal"]
         assert calls[pool, "add"] <= catch_ups, f"node {node.index}: {calls[pool, 'add']} adds, {catch_ups} catch-ups"
 
 

@@ -115,6 +115,14 @@ def test_second_tx_stream_while_one_runs_is_an_error():
     assert sim.txs_generated == 6
 
 
+def test_tx_batch_due_before_the_one_that_queues_it_is_an_error():
+    """Each batch queues the next, so a stream whose times descend would run a batch in the past."""
+    sim = make_sim()
+    sim.schedule_tx_batches([(1000, range(2)), (500, range(2, 4))])
+    with pytest.raises(ValueError, match="scheduled in the past"):
+        sim.run_until(2000)
+
+
 @pytest.mark.parametrize("preset", ["honest", "attack", "fixed"])
 @pytest.mark.parametrize("duration_ms", [0, 60_000, 10**8])
 def test_setup_queue_does_not_grow_with_duration(preset, duration_ms):

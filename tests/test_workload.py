@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cliquesim import BlockHeader, Mempool, make_genesis, tx_batch_schedule
 
@@ -147,6 +149,98 @@ def test_canonical_update_partial_overlap():
     pool.on_canonical_update(old, new)
     assert sorted(pool.pending) == [0, 1]
     assert set(pool.canonical) == {2, 3, 4}
+
+
+# -- merged updates --------------------------------------------------------------
+#
+# ``on_canonical_update`` applies each branch as the union of its blocks'
+# runs. These properties compare it with a per-header model, and check that
+# a restore commutes with a later adoption, on random ledgers and branches.
+# The example counts come from the hypothesis profile that ``conftest`` loads.
+
+
+def ranges_of(ids):
+    """The ranges of an ``IdRanges``, which has no public view of them, so this reads its bound lists."""
+    return list(zip(ids._starts, ids._stops))
+
+
+def per_header_update(pool, abandoned, adopted):
+    """Reference: apply every run of every block, one at a time and in order."""
+    for header in abandoned:
+        for start, stop in header.tx_runs:
+            pool.canonical.remove(start, stop)
+            pool.pending.add(start, stop)
+    for header in adopted:
+        for start, stop in header.tx_runs:
+            pool.canonical.add(start, stop)
+            pool.pending.remove(start, stop)
+
+
+# A ledger is two lists of (start, length) ranges: the canonical ids, and
+# pending ids, which lose any id the canonical ranges hold.
+id_ranges = st.lists(st.tuples(st.integers(0, 50), st.integers(1, 8)), max_size=8)
+ledgers = st.tuples(id_ranges, id_ranges)
+
+
+def make_ledger(ledger):
+    pending, canonical = ledger
+    pool = Mempool()
+    for start, length in canonical:
+        pool.canonical.add(start, start + length)
+    for start, length in pending:
+        pool.pending.add(start, start + length)
+    for start, stop in ranges_of(pool.canonical):
+        pool.pending.remove(start, stop)
+    return pool
+
+
+@st.composite
+def block_runs(draw, last_stop=0):
+    """A block's canonical runs. The first starts just below, at or just past
+    ``last_stop`` (overlapping, touching or gapped with the block before it),
+    or anywhere in 0..40; zero runs make an empty block, as under ``tx_cap = 0``."""
+    start = draw(st.integers(max(0, last_stop - 6), last_stop + 3) | st.integers(0, 40))
+    runs = []
+    for _ in range(draw(st.integers(0, 3))):
+        stop = start + draw(st.integers(1, 5))
+        runs.append((start, stop))
+        start = stop + draw(st.integers(1, 4))
+    return runs
+
+
+@st.composite
+def branches(draw):
+    """Zero to six blocks, each drawn against the last stop of the ones before it."""
+    headers, last_stop = [], draw(st.integers(0, 20))
+    for number in range(1, draw(st.integers(0, 6)) + 1):
+        runs = draw(block_runs(last_stop))
+        headers.append(blk(number, runs))
+        last_stop = runs[-1][1] if runs else last_stop
+    return headers
+
+
+@given(ledgers, branches(), branches())
+@example(([(0, 10)], [(10, 5)]), [blk(1, []), blk(2, [])], [blk(1, []), blk(2, []), blk(3, [])])
+@example(([(0, 30)], []), [], [blk(1, [(0, 4)]), blk(2, [(4, 9)]), blk(3, [(9, 12), (14, 15)])])
+def test_merged_canonical_update_matches_per_header_updates(ledger, abandoned, adopted):
+    merged, reference = make_ledger(ledger), make_ledger(ledger)
+    merged.on_canonical_update(abandoned, adopted)
+    per_header_update(reference, abandoned, adopted)
+    assert ranges_of(merged.pending) == ranges_of(reference.pending)
+    assert ranges_of(merged.canonical) == ranges_of(reference.canonical)
+
+
+@given(ledgers, block_runs(), branches())
+def test_restore_commutes_with_a_later_adoption(ledger, restored, lag):
+    """A node restores a rejected own block's ids without first adopting the
+    blocks its head gained since its mempool last followed it."""
+    restore_first, adopt_first = make_ledger(ledger), make_ledger(ledger)
+    restore_first.restore(tuple(restored))
+    restore_first.on_canonical_update((), lag)
+    adopt_first.on_canonical_update((), lag)
+    adopt_first.restore(tuple(restored))
+    assert ranges_of(restore_first.pending) == ranges_of(adopt_first.pending)
+    assert ranges_of(restore_first.canonical) == ranges_of(adopt_first.canonical)
 
 
 # -- reference model ------------------------------------------------------------
