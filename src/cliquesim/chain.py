@@ -5,15 +5,15 @@ insertion order, so fork-choice ties resolve to the branch that was seen
 first, and cumulative difficulty is cached per block so head selection
 never re-walks the tree. The heaviest tip is kept up to date on every
 insert, and a head move walks only the two diverging branches, so the
-work per block does not grow with the chain.
+work per block does not grow with the chain. A header's digest, the hash
+the store keys it by, is computed once when the header is built.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from math import inf
 
 HASH_SIZE = 32
@@ -51,6 +51,11 @@ class BlockHeader:
     ``tx_runs`` holds the block's tx ids as half-open ``(start, stop)``
     runs that are non-empty, ascending and non-touching, so one id set has
     exactly one encoding and the header's work does not grow with its ids.
+
+    ``tx_count`` and ``digest`` are computed once, when the header is built
+    (``dataclasses.replace`` builds a new one). The digest is the SHA-256 of
+    ``number|parent hex|sealer_index|sealer_addr|difficulty|sim_time_ms|runs``,
+    where ``runs`` is ``start:stop`` per run, comma-separated.
     """
 
     number: int
@@ -60,37 +65,28 @@ class BlockHeader:
     difficulty: int
     sim_time_ms: int
     tx_runs: tuple[tuple[int, int], ...] = ()
+    tx_count: int = field(init=False, compare=False, repr=False)
+    digest: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         last_stop = -inf
+        tx_count = 0
+        runs = []
         for start, stop in self.tx_runs:
             if not last_stop < start < stop:
                 raise ValueError("tx runs must be non-empty, ascending and non-touching")
             last_stop = stop
+            tx_count += stop - start
+            runs.append(f"{start}:{stop}")
+        encoding = (
+            f"{self.number}|{self.parent.hex()}|{self.sealer_index}|{self.sealer_addr}|"
+            f"{self.difficulty}|{self.sim_time_ms}|{','.join(runs)}"
+        )
+        object.__setattr__(self, "tx_count", tx_count)
+        object.__setattr__(self, "digest", hashlib.sha256(encoding.encode("ascii")).digest())
 
     def is_genesis(self) -> bool:
         return self.number == 0 and self.parent == NIL_PARENT
-
-    @cached_property
-    def digest(self) -> bytes:
-        """SHA-256 of the canonical encoding, computed once per header object."""
-        encoding = "|".join(
-            (
-                str(self.number),
-                self.parent.hex(),
-                str(self.sealer_index),
-                self.sealer_addr,
-                str(self.difficulty),
-                str(self.sim_time_ms),
-                ",".join(f"{start}:{stop}" for start, stop in self.tx_runs),
-            )
-        )
-        return hashlib.sha256(encoding.encode("ascii")).digest()
-
-    @property
-    def tx_count(self) -> int:
-        """Number of tx ids in the block."""
-        return sum(stop - start for start, stop in self.tx_runs)
 
     @property
     def tx_ids(self) -> tuple[int, ...]:
@@ -123,8 +119,8 @@ def hash_header(header: BlockHeader) -> bytes:
 
     Deterministic, and any single-field change yields a different digest.
     No signatures are involved; identities in this simulator are honest
-    labels, not keys. The digest is cached on the header, so a header object
-    broadcast to every peer is encoded once.
+    labels, not keys. The digest is computed once when the header is built,
+    so a header object broadcast to every peer is encoded once.
     """
     return header.digest
 
@@ -208,7 +204,9 @@ class ChainStore:
         """The last ``depth`` headers of ``canonical_chain(head)``, ascending."""
         header = self.header(head)
         tail = [header] if depth > 0 else []
-        while len(tail) < depth and not header.is_genesis():
+        # A header numbered n has n ancestors, genesis the last, so the walk
+        # takes min(depth, n + 1) - 1 steps (the builtin ``min`` costs more).
+        for _ in range(depth - 1 if depth <= header.number else header.number):
             header = self._headers[header.parent]
             tail.append(header)
         tail.reverse()

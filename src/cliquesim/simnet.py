@@ -55,7 +55,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 from . import strategies
 from .chain import GENESIS, BlockHeader, ChainStore
 from .engine import (
-    RejectReason,
     SealerSnapshot,
     VerifyFlags,
     leader_index,
@@ -165,7 +164,8 @@ class Node:
         waits in ``orphans`` and is admitted right after the parent. The
         verdict comes from the run's memo for this node's flags
         (``Simulation.verdicts``), so of all the nodes with the same flags
-        only the first to import a block runs ``verify_header`` on it.
+        only the first to import a block runs ``verify_header`` on it. The
+        memo holds the reason's name, the key a rejection is tallied under.
         """
         if header.sim_time_ms > self.sim.now:
             self.sim.schedule(header.sim_time_ms, DELIVERY, self._admit, header)
@@ -177,11 +177,10 @@ class Node:
         try:
             reason = self.verdicts[block_hash]
         except KeyError:
-            reason = self.verdicts[block_hash] = verify_header(
-                header, self._snapshot_at(header.parent), self.flags
-            )
+            verdict = verify_header(header, self._snapshot_at(header.parent), self.flags)
+            reason = self.verdicts[block_hash] = None if verdict is None else verdict.value
         if reason is not None:
-            self.rejections[header.sealer_index, reason.value] += 1
+            self.rejections[header.sealer_index, reason] += 1
             if header.sealer_index == self.index:
                 self.mempool.restore(header.tx_runs)
             return
@@ -315,8 +314,9 @@ class Simulation:
         self.snapshots: dict[bytes, SealerSnapshot] = {
             GENESIS.digest: snapshot_for_chain(config.n_sealers, (GENESIS,))
         }
-        # flags -> block hash -> verify_header's verdict under those flags
-        self.verdicts: dict[VerifyFlags, dict[bytes, RejectReason | None]] = {}
+        # flags -> block hash -> ``RejectReason.value`` of verify_header's
+        # verdict under those flags, or None for an accepted block
+        self.verdicts: dict[VerifyFlags, dict[bytes, str | None]] = {}
         self.nodes = [
             Node(self, i, policy, flags)
             for i, (policy, flags) in enumerate(zip(config.policies(), config.flag_list()))

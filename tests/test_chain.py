@@ -1,9 +1,13 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cliquesim import (
+    BlockHeader,
     ChainStore,
     DuplicateBlockError,
     UnknownBlockError,
@@ -41,6 +45,52 @@ def test_hash_changes_with_each_field(store):
         child_header(store, store.genesis, addr="0xdeadbeef"),
     ):
         assert hash_header(variant) != hash_header(base)
+
+
+# Runs as (gap, length) pairs: each run starts at least one id past the
+# last one's stop, so any draw is canonical. Values reach far past 2**64.
+BIG = st.integers(0, 2**80)
+GAPS_AND_LENGTHS = st.lists(st.tuples(st.integers(1, 2**70), st.integers(1, 2**70)), max_size=12)
+
+
+@given(
+    number=BIG,
+    parent=st.binary(min_size=32, max_size=32),
+    sealer_index=BIG,
+    sealer_addr=st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=50),
+    difficulty=BIG,
+    sim_time_ms=BIG,
+    gaps_and_lengths=GAPS_AND_LENGTHS,
+)
+@example(number=0, parent=b"\x00" * 32, sealer_index=0, sealer_addr="0x" + "0" * 40,
+         difficulty=0, sim_time_ms=0, gaps_and_lengths=[])
+@example(number=7, parent=b"\xff" * 32, sealer_index=3, sealer_addr="0xab",
+         difficulty=2, sim_time_ms=7000, gaps_and_lengths=[(5, 10)])
+@example(number=2**64, parent=bytes(range(32)), sealer_index=2**40, sealer_addr="0x",
+         difficulty=2**70, sim_time_ms=2**63, gaps_and_lengths=[(1, 1), (2, 3), (2**40, 2**40)])
+def test_digest_is_sha256_of_the_documented_encoding(
+    number, parent, sealer_index, sealer_addr, difficulty, sim_time_ms, gaps_and_lengths
+):
+    """``number|parent hex|sealer_index|sealer_addr|difficulty|sim_time_ms|start:stop,...``"""
+    tx_runs, stop = [], -1
+    for gap, length in gaps_and_lengths:
+        start = stop + gap
+        stop = start + length
+        tx_runs.append((start, stop))
+    header = BlockHeader(number, parent, sealer_index, sealer_addr, difficulty, sim_time_ms, tuple(tx_runs))
+    fields = [
+        "%d" % number, parent.hex(), "%d" % sealer_index, sealer_addr,
+        "%d" % difficulty, "%d" % sim_time_ms, ",".join("%d:%d" % run for run in tx_runs),
+    ]
+    assert header.digest == hashlib.sha256("|".join(fields).encode("ascii")).digest()
+    assert hash_header(header) == header.digest
+    assert header.tx_count == sum(stop - start for start, stop in tx_runs)
+    # Both are derived, so a replace recomputes them.
+    bumped = dataclasses.replace(header, number=number + 1, tx_runs=())
+    fresh = BlockHeader(number + 1, parent, sealer_index, sealer_addr, difficulty, sim_time_ms)
+    assert (bumped.tx_count, bumped.digest) == (0, fresh.digest)
+    restored = dataclasses.replace(bumped, number=number, tx_runs=tuple(tx_runs))
+    assert restored == header and hash(restored) == hash(header) and restored.digest == header.digest
 
 
 # -- insertion ---------------------------------------------------------------
@@ -250,6 +300,21 @@ def test_reorg_cases(store):
     assert store.reorg(store.genesis, a1) == ([], [h(a1)])
     with pytest.raises(UnknownBlockError):
         store.reorg(a3, b"\x44" * 32)
+
+
+def test_chain_tail_depths_at_genesis_and_at_a_three_block_head(store):
+    genesis = store.header(store.genesis)
+    for depth in (0, 1, 5):  # at genesis, number + 1 is 1 and number + 5 is 5
+        assert store.chain_tail(store.genesis, depth) == [genesis][:depth]
+    a1 = grow(store, store.genesis)
+    a2 = grow(store, a1)
+    a3 = grow(store, a2)
+    grow(store, a2, sealer_index=1)  # a side branch the walk must not see
+    chain = [store.header(h) for h in (store.genesis, a1, a2, a3)]
+    assert store.chain_tail(a3, 0) == []
+    assert store.chain_tail(a3, 1) == chain[3:]
+    assert store.chain_tail(a3, 3 + 1) == chain
+    assert store.chain_tail(a3, 3 + 5) == chain
 
 
 def test_reorg_and_chain_tail_match_full_chains_on_random_trees():

@@ -22,7 +22,6 @@ add up to the nodes' ``rejected`` counts and name only the frontrunner.
 """
 
 import dataclasses
-import functools
 import json
 import sys
 import tracemalloc
@@ -430,31 +429,28 @@ def test_pack_work_per_block_does_not_grow_with_run_length(monkeypatch):
 
 
 def _pack_and_digest_bytes_per_call(monkeypatch, rate):
-    """Mean peak bytes allocated inside a ``Mempool.pack_block`` call or a header's first digest.
+    """Mean peak bytes allocated inside a ``Mempool.pack_block`` call or a header's construction.
 
     The run is ``honest`` at seed 1 for 2 min with no ``tx_cap``, so each
     block packs the ids of about one block interval, and those grow with
-    the rate. Every node's packs are traced, and every header's first
-    ``digest``; later reads hit the cache and allocate nothing.
+    the rate. Every node's packs are traced, and every header's
+    construction, which computes its digest and tx count.
     """
     config = dataclasses.replace(preset_config("honest"), seed=1, duration_ms=120_000, tx_rate_per_s=rate)
     peaks = []
-    pack = Mempool.pack_block
-    digest = BlockHeader.digest.func
+    pack, init = Mempool.pack_block, BlockHeader.__init__
 
-    def traced(function, *args):
+    def traced(function, *args, **kwargs):
         tracemalloc.start()
         try:
-            return function(*args)
+            return function(*args, **kwargs)
         finally:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    measured_digest = functools.cached_property(lambda header: traced(digest, header))
-    measured_digest.__set_name__(BlockHeader, "digest")
     with monkeypatch.context() as patch:
         patch.setattr(Mempool, "pack_block", lambda self, cap=None: traced(pack, self, cap))
-        patch.setattr(BlockHeader, "digest", measured_digest)
+        patch.setattr(BlockHeader, "__init__", lambda self, **fields: traced(init, self, **fields))
         sim = build_simulation(config)
         sim.run_until(config.duration_ms)
     return sum(peaks) / len(peaks)
