@@ -22,7 +22,6 @@ from typing import Mapping
 from .engine import FIXED, PRESETS, VerifyFlags
 from .simnet import SimResult, Simulation
 from .strategies import SealerPolicy
-from .workload import tx_batch_schedule
 
 
 class ScenarioError(Exception):
@@ -316,9 +315,6 @@ class RunReport:
 def build_simulation(config: ScenarioConfig) -> Simulation:
     """Construct a ready-to-run simulation: nodes, tx stream, plans."""
     sim = Simulation(config)
-    sim.schedule_tx_batches(
-        tx_batch_schedule(config.tx_rate_per_s, config.duration_ms)
-    )
     sim.start()
     return sim
 

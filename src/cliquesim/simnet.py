@@ -50,7 +50,7 @@ import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from . import strategies
 from .chain import GENESIS, BlockHeader, ChainStore
@@ -63,7 +63,7 @@ from .engine import (
     verify_header,
 )
 from .strategies import ProposalPlan, SealerPolicy
-from .workload import Mempool
+from .workload import Mempool, tx_batch_schedule
 
 if TYPE_CHECKING:  # the harness imports this module, so only type checkers import it back
     from .harness import ScenarioConfig
@@ -309,6 +309,7 @@ class Simulation:
         self._queue: list[tuple[int, int, int, Callable[[Any], None], Any]] = []
         self._next_seq = 0
         self._tx_batches: Iterator[tuple[int, range]] = iter(())
+        self._started = False
         self.txs_generated = 0
         # block hash -> snapshot at it; genesis's entry is the root the others are built from
         self.snapshots: dict[bytes, SealerSnapshot] = {
@@ -343,35 +344,37 @@ class Simulation:
                 continue
             self.schedule(self.now + uniform_int(rng, low, high), DELIVERY, peer.deliver, header)
 
-    def schedule_tx_batches(self, batches: Iterable[tuple[int, range]]) -> None:
-        """Run ``(at_ms, ids)`` batches that hand out the ids 0, 1, 2, ... in time order.
+    def start(self) -> None:
+        """Queue the config's tx stream and install the first proposal plans.
 
-        Batch times must ascend. Only the first batch is queued here; each
-        batch queues the next when it runs, so ``batches`` may be lazy and
-        the queue holds one batch however long the run. A batch only counts
-        its ids into ``txs_generated``. Each node adds the ids below that
-        count to its mempool when it next uses it (``Mempool.catch_up``), so
-        no batch touches a mempool.
+        Genesis is already everyone's head. Only the stream's first batch is
+        queued here; each batch queues the next when it runs, so the queue
+        holds one batch however long the run. A batch only counts its ids
+        into ``txs_generated``. Each node adds the ids below that count to
+        its mempool when it next uses it (``Mempool.catch_up``), so no batch
+        touches a mempool. Call it once, before ``run_until``.
 
-        Raises ``ValueError`` while an earlier stream still has a batch queued.
+        Raises ``ValueError`` on a second call: a second stream would hand
+        out the ids from 0 again, drawn from the one iterator both chains
+        of batches share.
         """
-        if any(rank == TXS for _, rank, _, _, _ in self._queue):
+        if self._started:
             raise ValueError("a tx batch stream is already running")
-        self._tx_batches = iter(batches)
-        batch = next(self._tx_batches, None)
-        if batch is not None:
-            self.schedule(batch[0], TXS, self._add_txs, batch[1])
+        self._started = True
+        config = self.config
+        self._tx_batches = tx_batch_schedule(config.tx_rate_per_s, config.duration_ms)
+        self._queue_next_batch()
+        for node in self.nodes:
+            node.replan()
 
     def _add_txs(self, txs: range) -> None:
         self.txs_generated += len(txs)
+        self._queue_next_batch()
+
+    def _queue_next_batch(self) -> None:
         batch = next(self._tx_batches, None)
         if batch is not None:
             self.schedule(batch[0], TXS, self._add_txs, batch[1])
-
-    def start(self) -> None:
-        """Install the first proposal plans (genesis is already everyone's head)."""
-        for node in self.nodes:
-            node.replan()
 
     # -- event loop --------------------------------------------------------
 

@@ -14,7 +14,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from math import inf
-from operator import attrgetter, sub
+from operator import attrgetter
 
 from .chain import BlockHeader
 
@@ -39,92 +39,82 @@ def tx_batch_schedule(rate_per_s: int, t_end_ms: int) -> Iterator[tuple[int, ran
 class IdRanges:
     """A set of ids kept as sorted, disjoint, non-touching half-open ranges.
 
-    The common updates are O(1): adding at or past the start of the last
-    range, and removing from the front of the first range. Other updates
-    binary-search the range bounds, and ``take`` walks only the ranges it
-    empties. Iteration yields the ids in ascending order, and ``len``
-    sums the range lengths.
+    The ranges live in one flat sorted list of their bounds, ``[start0,
+    stop0, start1, stop1, ...]``, so an id is in the set exactly when an
+    odd number of bounds are at or below it. Each ``add`` or ``remove`` is
+    two binary searches and one slice assignment: the parity of the two
+    search positions says whether each end of the range falls inside a
+    held range, and so whether it becomes a bound. ``take`` walks only
+    the ranges it empties. Iteration yields the ids in ascending order,
+    and ``len`` sums the range lengths.
     """
 
-    __slots__ = ("_starts", "_stops")
+    __slots__ = ("_bounds",)
 
     def __init__(self) -> None:
-        self._starts: list[int] = []
-        self._stops: list[int] = []
+        self._bounds: list[int] = []
 
     def __len__(self) -> int:
-        return sum(map(sub, self._stops, self._starts))
+        bounds = self._bounds
+        return sum(bounds[1::2]) - sum(bounds[::2])
 
     def __iter__(self) -> Iterator[int]:
-        return chain.from_iterable(map(range, self._starts, self._stops))
+        bounds = self._bounds
+        return chain.from_iterable(map(range, bounds[::2], bounds[1::2]))
+
+    def runs(self) -> list[tuple[int, int]]:
+        """The ranges, as ``(start, stop)`` pairs in ascending order."""
+        bounds = self._bounds
+        return list(zip(bounds[::2], bounds[1::2]))
 
     def add(self, start: int, stop: int) -> None:
         """Add the ids ``start`` up to ``stop``, exclusive."""
         if start >= stop:
             return
-        starts, stops = self._starts, self._stops
-        if not stops or start > stops[-1]:
-            starts.append(start)
-            stops.append(stop)
-            return
-        if start >= starts[-1]:
-            stops[-1] = max(stop, stops[-1])
-            return
-        # Ranges i..j-1 overlap or touch [start, stop); merge them into one.
-        i = bisect_left(stops, start)
-        j = bisect_right(starts, stop, i)
-        if i < j:
-            start = min(start, starts[i])
-            stop = max(stop, stops[j - 1])
-        starts[i:j] = (start,)
-        stops[i:j] = (stop,)
+        # Bounds i..j-1 lie in [start, stop], so the ranges they close or open
+        # merge into one; an end inside a held range (odd position) is no bound.
+        bounds = self._bounds
+        i = bisect_left(bounds, start)
+        j = bisect_right(bounds, stop, i)
+        bounds[i:j] = (start, stop)[i & 1 : 2 - (j & 1)]
 
     def remove(self, start: int, stop: int) -> None:
         """Remove the ids ``start`` up to ``stop``, exclusive, where present."""
-        if start >= stop or not self._stops:
+        if start >= stop:
             return
-        starts, stops = self._starts, self._stops
-        if start <= starts[0] and stop < stops[0]:
-            starts[0] = max(stop, starts[0])
-            return
-        # Ranges i..j-1 overlap [start, stop); keep what sticks out on either side.
-        i = bisect_right(stops, start)
-        j = bisect_left(starts, stop, i)
-        if i == j:
-            return
-        new_starts, new_stops = [], []
-        if starts[i] < start:
-            new_starts.append(starts[i])
-            new_stops.append(start)
-        if stops[j - 1] > stop:
-            new_starts.append(stop)
-            new_stops.append(stops[j - 1])
-        starts[i:j] = new_starts
-        stops[i:j] = new_stops
+        # Bounds i..j-1 lie in [start, stop] and go; an end inside a held range
+        # (odd position) becomes the bound of the part that sticks out.
+        bounds = self._bounds
+        i = bisect_left(bounds, start)
+        j = bisect_right(bounds, stop, i)
+        bounds[i:j] = (start, stop)[1 - (i & 1) : 1 + (j & 1)]
 
     def overlap(self, start: int, stop: int) -> list[tuple[int, int]]:
         """The parts of ``[start, stop)`` in this set, as ranges in ascending order."""
         if start >= stop:
             return []
-        starts, stops = self._starts, self._stops
-        i = bisect_right(stops, start)
-        j = bisect_left(starts, stop, i)
-        return [(max(start, starts[k]), min(stop, stops[k])) for k in range(i, j)]
+        bounds = self._bounds
+        i = bisect_right(bounds, start)
+        j = bisect_left(bounds, stop, i)
+        cut = [start][: i & 1] + bounds[i:j] + [stop][: j & 1]
+        return list(zip(cut[::2], cut[1::2]))
 
     def take(self, cap: int | None = None) -> tuple[tuple[int, int], ...]:
         """Remove the ``cap`` smallest ids (all of them if ``cap`` is None) and return them as ranges."""
-        starts, stops = self._starts, self._stops
+        if cap is not None and cap < 0:
+            raise ValueError(f"cap must be >= 0, got {cap}")
+        bounds = self._bounds
         left = inf if cap is None else cap
         k = 0
-        while k < len(starts) and stops[k] - starts[k] <= left:
-            left -= stops[k] - starts[k]
-            k += 1
-        taken = list(zip(starts[:k], stops[:k]))
-        del starts[:k], stops[:k]
-        if left and starts:
-            taken.append((starts[0], starts[0] + left))
-            starts[0] += left
-        return tuple(taken)
+        while k < len(bounds) and bounds[k + 1] - bounds[k] <= left:
+            left -= bounds[k + 1] - bounds[k]
+            k += 2
+        taken = bounds[:k]
+        del bounds[:k]
+        if left and bounds:
+            taken += (bounds[0], bounds[0] + left)
+            bounds[0] += left
+        return tuple(zip(taken[::2], taken[1::2]))
 
 
 @dataclass

@@ -35,8 +35,7 @@ def apply_and_check(ranges, model, op):
         expected = sorted(model)[:cap]
         assert ranges.take(cap) == tuple(runs_of(expected))
         model.difference_update(expected)
-    # IdRanges has no public view of its ranges, so this reads its bound lists.
-    assert list(zip(ranges._starts, ranges._stops)) == runs_of(sorted(model)), op
+    assert ranges.runs() == runs_of(sorted(model)), op
     assert len(ranges) == len(model)
     assert list(ranges) == sorted(model)
 

@@ -16,6 +16,7 @@ from cliquesim import (
     run_scenario,
     ScenarioConfig,
 )
+from cliquesim import simnet
 from cliquesim.simnet import DELIVERY, SEAL, TXS, Node
 
 from conftest import in_flight, ledger_at_head, short_preset
@@ -94,31 +95,38 @@ def test_run_stops_after_the_events_due_at_drain_end():
 
 # -- tx batches ----------------------------------------------------------------
 
-def test_tx_batches_accept_any_iterable_and_queue_one_at_a_time():
-    sim = make_sim()
-    sim.schedule_tx_batches(((1000 * k, range(2 * k - 2, 2 * k)) for k in (1, 2, 3)))
-    assert [(at, rank) for at, rank, *_ in sim._queue] == [(1000, TXS)]
+def test_tx_batches_come_from_the_config_and_queue_one_at_a_time():
+    config = ScenarioConfig(
+        n_sealers=5, duration_ms=3000, tx_rate_per_s=2, delay_min_ms=0, delay_max_ms=0
+    )
+    sim = Simulation(config)
+    sim.start()
+    assert [at for at, rank, *_ in sim._queue if rank == TXS] == [1000]
     sim.run_until(2000)
     assert sim.txs_generated == 4
-    assert [(at, rank) for at, rank, *_ in sim._queue] == [(3000, TXS)]
+    assert [at for at, rank, *_ in sim._queue if rank == TXS] == [3000]
 
 
 def test_second_tx_stream_while_one_runs_is_an_error():
-    """Two streams would each hand out ids from 0, so a second one is refused."""
-    sim = make_sim()
-    sim.schedule_tx_batches([(1000, range(2)), (2000, range(2, 4))])
+    """Two streams would each hand out ids from 0, so a second start is refused."""
+    config = ScenarioConfig(
+        n_sealers=5, duration_ms=10000, tx_rate_per_s=2, delay_min_ms=0, delay_max_ms=0
+    )
+    sim = Simulation(config)
+    sim.start()
     with pytest.raises(ValueError, match="already running"):
-        sim.schedule_tx_batches([(1000, range(2))])
-    sim.run_until(2000)
-    sim.schedule_tx_batches([(3000, range(4, 6))])  # the first stream has ended
-    sim.run_until(3000)
-    assert sim.txs_generated == 6
+        sim.start()
+    assert [at for at, rank, *_ in sim._queue if rank == TXS] == [1000]
+    sim.run_until(10000)
+    assert sim.txs_generated == 20
 
 
-def test_tx_batch_due_before_the_one_that_queues_it_is_an_error():
+def test_tx_batch_due_before_the_one_that_queues_it_is_an_error(monkeypatch):
     """Each batch queues the next, so a stream whose times descend would run a batch in the past."""
+    descending = [(1000, range(2)), (500, range(2, 4))]
+    monkeypatch.setattr(simnet, "tx_batch_schedule", lambda rate, duration: iter(descending))
     sim = make_sim()
-    sim.schedule_tx_batches([(1000, range(2)), (500, range(2, 4))])
+    sim.start()
     with pytest.raises(ValueError, match="scheduled in the past"):
         sim.run_until(2000)
 

@@ -83,6 +83,14 @@ def test_pack_empty_mempool():
     assert Mempool().pack_block() == ()
 
 
+def test_pack_rejects_a_negative_cap():
+    """A negative cap would pack, and leave pending, ids no batch created."""
+    pool = filled(10)
+    with pytest.raises(ValueError, match="cap"):
+        pool.pack_block(-3)
+    assert pool.pending.runs() == [(0, 10)]
+
+
 def test_pack_skips_canonical():
     # a rejected own block hands back ids a peer's block has made canonical since
     pool = filled(5)
@@ -159,11 +167,6 @@ def test_canonical_update_partial_overlap():
 # The example counts come from the hypothesis profile that ``conftest`` loads.
 
 
-def ranges_of(ids):
-    """The ranges of an ``IdRanges``, which has no public view of them, so this reads its bound lists."""
-    return list(zip(ids._starts, ids._stops))
-
-
 def per_header_update(pool, abandoned, adopted):
     """Reference: apply every run of every block, one at a time and in order."""
     for header in abandoned:
@@ -189,7 +192,7 @@ def make_ledger(ledger):
         pool.canonical.add(start, start + length)
     for start, length in pending:
         pool.pending.add(start, start + length)
-    for start, stop in ranges_of(pool.canonical):
+    for start, stop in pool.canonical.runs():
         pool.pending.remove(start, stop)
     return pool
 
@@ -226,8 +229,8 @@ def test_merged_canonical_update_matches_per_header_updates(ledger, abandoned, a
     merged, reference = make_ledger(ledger), make_ledger(ledger)
     merged.on_canonical_update(abandoned, adopted)
     per_header_update(reference, abandoned, adopted)
-    assert ranges_of(merged.pending) == ranges_of(reference.pending)
-    assert ranges_of(merged.canonical) == ranges_of(reference.canonical)
+    assert merged.pending.runs() == reference.pending.runs()
+    assert merged.canonical.runs() == reference.canonical.runs()
 
 
 @given(ledgers, block_runs(), branches())
@@ -239,8 +242,8 @@ def test_restore_commutes_with_a_later_adoption(ledger, restored, lag):
     restore_first.on_canonical_update((), lag)
     adopt_first.on_canonical_update((), lag)
     adopt_first.restore(tuple(restored))
-    assert ranges_of(restore_first.pending) == ranges_of(adopt_first.pending)
-    assert ranges_of(restore_first.canonical) == ranges_of(adopt_first.canonical)
+    assert restore_first.pending.runs() == adopt_first.pending.runs()
+    assert restore_first.canonical.runs() == adopt_first.canonical.runs()
 
 
 # -- reference model ------------------------------------------------------------
