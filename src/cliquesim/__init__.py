@@ -30,9 +30,9 @@ from .engine import (
     recents_window,
     signed_recently,
     snapshot_for_chain,
-    uniform_int,
+    uniform_draws,
     verify_header,
-    wiggle_delay,
+    wiggle_draws,
 )
 from .harness import (
     BlockRow,
@@ -102,7 +102,7 @@ __all__ = [
     "signed_recently",
     "snapshot_for_chain",
     "tx_batch_schedule",
-    "uniform_int",
+    "uniform_draws",
     "verify_header",
-    "wiggle_delay",
+    "wiggle_draws",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .chain import BlockHeader
@@ -39,28 +39,34 @@ def recents_window(n_sealers: int) -> int:
     return n_sealers // 2 + 1
 
 
-def uniform_int(rng: random.Random, low: int, high: int) -> int:
-    """Uniform draw from [low, high], the run's only way to draw an integer.
+def uniform_draws(rng: random.Random, low: int, high: int) -> Iterator[int]:
+    """Endless uniform draws from [low, high]; the run's only way to draw an integer.
 
-    It returns the value ``rng.randint(low, high)`` would and leaves ``rng``
-    in the same state, because it runs CPython's own loop for it
-    (``Random._randbelow_with_getrandbits``): redraw ``k`` bits until the
-    draw falls below the width ``n``. It takes one Python frame where
-    ``randint`` takes four.
+    Each ``next`` returns the value ``rng.randint(low, high)`` would and
+    leaves ``rng`` in the same state, because it runs CPython's own loop for
+    it (``Random._randbelow_with_getrandbits``): redraw ``k`` bits until the
+    draw falls below the width ``n``. It draws only when asked, so streams
+    sharing one ``rng`` consume it in the order they are asked. An empty
+    range raises here, not at the first draw.
     """
     n = high - low + 1
     if n < 1:
         raise ValueError(f"empty range [{low}, {high}]")
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return low + r
+
+    def draws() -> Iterator[int]:
+        getrandbits, k = rng.getrandbits, n.bit_length()
+        while True:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            yield low + r
+
+    return draws()
 
 
-def wiggle_delay(n_sealers: int, rng: random.Random) -> int:
-    """Random extra delay for a non-leader, uniform over [0, (N//2+1)*500] ms."""
-    return uniform_int(rng, 0, recents_window(n_sealers) * WIGGLE_STEP_MS)
+def wiggle_draws(n_sealers: int, rng: random.Random) -> Iterator[int]:
+    """Random extra delays for a non-leader, uniform over [0, (N//2+1)*500] ms."""
+    return uniform_draws(rng, 0, recents_window(n_sealers) * WIGGLE_STEP_MS)
 
 
 @dataclass(frozen=True)

@@ -91,9 +91,8 @@ class ScenarioConfig:
                 raise ValidationError("must be >= 0", f"sealer {index}: forced_difficulty")
 
     def policies(self) -> list[SealerPolicy]:
-        return [
-            self.sealer_specs.get(i, SealerSpec()).policy for i in range(self.n_sealers)
-        ]
+        honest = SealerSpec()
+        return [self.sealer_specs.get(i, honest).policy for i in range(self.n_sealers)]
 
     def flag_list(self) -> list[VerifyFlags]:
         out = []

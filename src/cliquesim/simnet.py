@@ -7,10 +7,13 @@ its timer was set for, or ``Simulation._add_txs`` with a tx batch. ``seq``
 is assigned at scheduling, so entries never tie and two runs with the same
 seed replay the exact same event sequence. One shared seeded generator is
 consumed in event order, which makes determinism a consequence of the
-total event order. The caller of ``schedule`` names one of three ranks,
-and at equal timestamps a lower rank runs first. A ``TXS`` batch runs
-before everything else due at its ms, so every event then sees the ids
-created up to its time. Every ``DELIVERY`` (an arriving or a released
+total event order. Every draw goes through one of its two streams,
+``Simulation.link_delays`` and ``Simulation.wiggles``. A new kind of
+draw, such as a per-node tick phase, needs its own generator or must
+draw after every existing one, or every seeded run changes. The caller
+of ``schedule`` names one of three ranks, and at equal timestamps a
+lower rank runs first. A ``TXS`` batch runs before everything else due
+at its ms, so every event then sees the ids created up to its time. Every ``DELIVERY`` (an arriving or a released
 block) runs before every ``SEAL`` timer, so a node always sees everything
 the network has already handed it before it signs, and a round leader
 whose slot was frontrun cancels instead of racing its own stale plan.
@@ -59,8 +62,9 @@ from .engine import (
     VerifyFlags,
     leader_index,
     snapshot_for_chain,
-    uniform_int,
+    uniform_draws,
     verify_header,
+    wiggle_draws,
 )
 from .strategies import ProposalPlan, SealerPolicy
 from .workload import Mempool, tx_batch_schedule
@@ -170,7 +174,8 @@ class Node:
         if header.sim_time_ms > self.sim.now:
             self.sim.schedule(header.sim_time_ms, DELIVERY, self._admit, header)
             return
-        if header.parent not in self.store:
+        on_head = header.parent == self.head
+        if not on_head and header.parent not in self.store:
             self.orphans.setdefault(header.parent, []).append(header)
             return
         block_hash = header.digest
@@ -186,7 +191,7 @@ class Node:
             return
         self.store.extend(header)
         new_head = self.store.select_head()
-        if new_head == block_hash and header.parent == self.head:
+        if new_head == block_hash and on_head:
             self.head = new_head
             self.replan()
         elif new_head != self.head:
@@ -249,7 +254,7 @@ class Node:
         sim, head = self.sim, self.head
         plan = self.pending = strategies.plan_proposal(
             self.policy, self.store.header(head), head, self._snapshot_at(head),
-            sim.now, sim.config.block_interval_ms, self.index, sim.rng,
+            sim.now, sim.config.block_interval_ms, self.index, sim.wiggles,
         )
         if plan.eligible:
             sim.schedule(plan.fire_at_ms, SEAL, self.seal, plan)
@@ -298,12 +303,17 @@ class Node:
 class Simulation:
     """One isolated run: nodes, queue, generator. Strictly single-threaded.
 
-    Every setting is read from ``config``, which has already checked it."""
+    Every setting is read from ``config``, which has already checked it.
+    ``rng`` is drawn from only through ``link_delays`` and ``wiggles``.
+    ``_delivers`` binds each node's ``deliver`` when the simulation is
+    built, so a patch of ``Node.deliver`` must come before the build."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.sealers = sealer_addresses(config.seed, config.n_sealers)
         self.rng = random.Random(config.seed)
+        self.link_delays = uniform_draws(self.rng, config.delay_min_ms, config.delay_max_ms)
+        self.wiggles = wiggle_draws(config.n_sealers, self.rng)
         self.now = 0
         self.t_end = 0
         self._queue: list[tuple[int, int, int, Callable[[Any], None], Any]] = []
@@ -322,6 +332,8 @@ class Simulation:
             Node(self, i, policy, flags)
             for i, (policy, flags) in enumerate(zip(config.policies(), config.flag_list()))
         ]
+        # A list: CPython 3.11 never reuses a freed 20-item tuple (the peers at N = 21).
+        self._delivers = [node.deliver for node in self.nodes]
 
     # -- scheduling --------------------------------------------------------
 
@@ -336,13 +348,15 @@ class Simulation:
         """Schedule one arrival per peer with independent uniform delays.
 
         The sender applies the block to itself separately, at the current
-        instant.
+        instant. Arrivals skip ``schedule``'s past check: ``ScenarioConfig``
+        keeps every delay >= 0.
         """
-        rng, low, high = self.rng, self.config.delay_min_ms, self.config.delay_max_ms
-        for peer in self.nodes:
-            if peer.index == from_node:
-                continue
-            self.schedule(self.now + uniform_int(rng, low, high), DELIVERY, peer.deliver, header)
+        delivers, now, queue, seq = self._delivers, self.now, self._queue, self._next_seq
+        peers = delivers[:from_node] + delivers[from_node + 1:]
+        for deliver, delay in zip(peers, self.link_delays):  # peers first: no extra draw
+            heapq.heappush(queue, (now + delay, DELIVERY, seq, deliver, header))
+            seq += 1
+        self._next_seq = seq
 
     def start(self) -> None:
         """Queue the config's tx stream and install the first proposal plans.

@@ -12,12 +12,12 @@ choice reports; it frontruns leadership, not consistency.
 
 from __future__ import annotations
 
-import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .chain import BlockHeader
-from .engine import SealerSnapshot, leader_index, signed_recently, wiggle_delay
+from .engine import SealerSnapshot, leader_index, signed_recently
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def plan_proposal(
     now_ms: int,
     block_interval_ms: int,
     self_index: int,
-    rng: random.Random,
+    wiggles: Iterator[int],
 ) -> ProposalPlan:
     """Plan the next block on top of ``parent`` under ``policy``.
 
@@ -80,8 +80,8 @@ def plan_proposal(
 
     Each deviation overrides one field of the honest plan: a forced
     difficulty replaces the rotation's, zero delay fires at ``now``, and
-    bypassing the recents window makes the plan eligible. The wiggle is
-    drawn only for a waiting sealer that is not the round leader.
+    bypassing the recents window makes the plan eligible. Only a waiting
+    sealer that is not the round leader takes the next of ``wiggles``.
     """
     n_sealers = snapshot.n_sealers
     height = parent.number + 1
@@ -96,7 +96,7 @@ def plan_proposal(
     elif in_turn:
         fire_at = claim
     else:
-        fire_at = claim + wiggle_delay(n_sealers, rng)
+        fire_at = claim + next(wiggles)
     eligible = policy.bypass_recents or not signed_recently(snapshot, self_index)
     return ProposalPlan(height, parent_hash, difficulty, claim, fire_at, eligible)
 

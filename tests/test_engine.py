@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cliquesim import (
     FIXED,
@@ -16,9 +18,9 @@ from cliquesim import (
     recents_window,
     signed_recently,
     snapshot_for_chain,
-    uniform_int,
+    uniform_draws,
     verify_header,
-    wiggle_delay,
+    wiggle_draws,
 )
 
 
@@ -57,7 +59,7 @@ def honest_difficulty(sealer_index, next_number, n_sealers):
     parent = header_for(next_number - 1, 0, 1)
     plan = plan_proposal(
         SealerPolicy(), parent, b"\xaa" * 32, SealerSnapshot(n_sealers),
-        parent.sim_time_ms, 5000, sealer_index, random.Random(0),
+        parent.sim_time_ms, 5000, sealer_index, wiggle_draws(n_sealers, random.Random(0)),
     )
     return plan.difficulty
 
@@ -85,43 +87,62 @@ def test_exactly_one_leader_per_height():
 
 # -- uniform draws -----------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "low,high", [(5, 50), (0, 0), (7, 7), (0, 1500), (0, 5500), (0, 2**40)]
+# Widths of 2**k and 2**k + 1 sit at the edges of the rejection loop: the
+# first never redraws, the second redraws about half the time.
+widths = st.one_of(
+    st.integers(1, 6000),
+    st.integers(0, 64).flatmap(lambda k: st.sampled_from((2**k, 2**k + 1))),
 )
-def test_uniform_int_is_randint_draw_for_draw(low, high):
-    # Every golden pin rests on this: the simulator draws with ``uniform_int``,
+
+
+@given(st.integers(0, 2**64), st.integers(-(2**40), 2**40), widths)
+@example(99, 5, 46)  # the presets' link delays
+@example(99, 0, 1501)  # wiggles at N = 5
+@example(99, 0, 5501)  # wiggles at N = 21
+@example(99, 0, 1)  # a zero-width link delay
+@example(99, 0, 2**40 + 1)
+def test_uniform_draws_are_randint_draw_for_draw(seed, low, width):
+    # Every golden pin rests on this: the simulator draws with ``uniform_draws``,
     # and a CPython release that changes ``randint`` fails here first.
-    ours, reference = random.Random(99), random.Random(99)
-    for _ in range(300):
-        assert uniform_int(ours, low, high) == reference.randint(low, high)
+    high = low + width - 1
+    ours, reference = random.Random(seed), random.Random(seed)
+    draws = uniform_draws(ours, low, high)
+    for _ in range(50):
+        assert next(draws) == reference.randint(low, high)
         assert ours.getstate() == reference.getstate()
     assert ours.random() == reference.random()
 
 
-def test_uniform_int_rejects_an_empty_range():
+def test_creating_a_stream_draws_nothing():
+    rng = random.Random(0)
+    state = rng.getstate()
+    uniform_draws(rng, 5, 50)
+    wiggle_draws(5, rng)
+    assert rng.getstate() == state
+
+
+def test_uniform_draws_reject_an_empty_range_when_created():
     with pytest.raises(ValueError):
-        uniform_int(random.Random(0), 5, 4)
+        uniform_draws(random.Random(0), 5, 4)
 
 
 # -- wiggle --------------------------------------------------------------------
 
 def test_wiggle_bounds_five_sealers():
-    rng = random.Random(1)
-    draws = [wiggle_delay(5, rng) for _ in range(500)]
+    wiggles = wiggle_draws(5, random.Random(1))
+    draws = [next(wiggles) for _ in range(500)]
     assert all(0 <= d <= 1500 for d in draws)
     assert min(draws) < 200 and max(draws) > 1300  # actually spans the range
 
 
 def test_wiggle_bounds_single_sealer():
-    rng = random.Random(2)
-    assert all(0 <= wiggle_delay(1, rng) <= 500 for _ in range(200))
+    wiggles = wiggle_draws(1, random.Random(2))
+    assert all(0 <= next(wiggles) <= 500 for _ in range(200))
 
 
 def test_wiggle_deterministic_per_seed():
-    a, b = random.Random(42), random.Random(42)
-    assert [wiggle_delay(5, a) for _ in range(50)] == [
-        wiggle_delay(5, b) for _ in range(50)
-    ]
+    a, b = wiggle_draws(5, random.Random(42)), wiggle_draws(5, random.Random(42))
+    assert [next(a) for _ in range(50)] == [next(b) for _ in range(50)]
 
 
 # -- recents window --------------------------------------------------------------

@@ -141,15 +141,19 @@ def test_setup_queue_does_not_grow_with_duration(preset, duration_ms):
 
 
 def test_peak_queue_length_does_not_grow_with_duration(monkeypatch):
-    schedule = Simulation.schedule
+    # ``broadcast`` pushes its arrivals without ``schedule``, so both are sampled.
     peak = 0
 
-    def tracking(self, *args):
-        nonlocal peak
-        schedule(self, *args)
-        peak = max(peak, len(self._queue))
+    def tracking(method):
+        def sampled(self, *args):
+            nonlocal peak
+            method(self, *args)
+            peak = max(peak, len(self._queue))
 
-    monkeypatch.setattr(Simulation, "schedule", tracking)
+        return sampled
+
+    for name in ("schedule", "broadcast"):
+        monkeypatch.setattr(Simulation, name, tracking(getattr(Simulation, name)))
     peaks = []
     for minutes in (10, 40):
         peak = 0
@@ -175,6 +179,28 @@ def test_broadcast_single_node_sends_nothing():
     sim = make_sim(n=1)
     sim.broadcast(0, sealed_by(sim, 1, 0, 2))
     assert sim._queue == []
+
+
+def test_broadcast_draws_one_randint_per_peer_in_peer_order():
+    low, high, seed = 10, 50, 4
+    for sender in range(5):
+        sim = make_sim(delay=(low, high), seed=seed)
+        sim.now = 1000
+        sim.broadcast(sender, sealed_by(sim, 1, sender, 2))
+        reference = random.Random(seed)
+        expected = [(1000 + reference.randint(low, high), sim.nodes[i].deliver)
+                    for i in range(5) if i != sender]
+        queued = sorted(sim._queue, key=lambda event: event[2])  # in push order
+        assert [(at, action) for at, _, _, action, _ in queued] == expected
+        assert sim.rng.getstate() == reference.getstate()
+        assert sim._next_seq == 4
+
+
+def test_broadcast_single_node_draws_nothing():
+    sim = make_sim(n=1, delay=(10, 50))
+    state = sim.rng.getstate()
+    sim.broadcast(0, sealed_by(sim, 1, 0, 2))
+    assert sim.rng.getstate() == state
 
 
 def test_broadcast_delays_stay_in_bounds():
@@ -231,6 +257,30 @@ def test_orphan_buffered_then_drained_when_parent_lands():
     node.deliver(block1)
     assert node.counters()["orphans_pending"] == 0
     assert node.store.header(node.head) == block2
+
+
+def test_block_whose_parent_is_stored_but_not_the_head_imports_as_a_side_branch():
+    sim = make_sim()
+    sim.now = 10_000
+    node = sim.nodes[0]
+    block1 = sealed_by(sim, 1, 1, 2)
+    node.deliver(block1)
+    side = sealed_by(sim, 1, 2, 1)  # on genesis, no longer the head
+    node.deliver(side)
+    assert side.digest in node.store
+    assert node.store.header(node.head) == block1
+    assert node.orphans == {}
+
+
+def test_block_with_an_unknown_parent_waits_off_a_moved_head():
+    sim = make_sim()
+    sim.now = 10_000
+    node = sim.nodes[0]
+    node.deliver(sealed_by(sim, 1, 1, 2))
+    orphan = sealed_by(sim, 3, 3, 1, parent=b"\x11" * 32, time_ms=10_000)
+    node.deliver(orphan)
+    assert orphan.digest not in node.store
+    assert node.orphans == {b"\x11" * 32: [orphan]}
 
 
 def test_duplicate_delivery_counted_once():

@@ -14,6 +14,7 @@ from cliquesim import (
     plan_proposal,
     snapshot_for_chain,
     verify_header,
+    wiggle_draws,
 )
 
 
@@ -38,16 +39,18 @@ def make_snapshot(recent=(), n=5):
 
 
 def plan_on(policy, sealer, rng, parent=None, snapshot=None, now_ms=0):
-    """``plan_proposal`` on ``parent`` (default: genesis time, number 0)."""
+    """``plan_proposal`` on ``parent`` (default: genesis time, number 0),
+    with wiggles drawn from ``rng`` for the snapshot's sealer count."""
+    snapshot = snapshot if snapshot is not None else make_snapshot()
     return plan_proposal(
         policy,
         parent if parent is not None else make_parent(),
         PARENT_HASH,
-        snapshot if snapshot is not None else make_snapshot(),
+        snapshot,
         now_ms,
         INTERVAL_MS,
         sealer,
-        rng,
+        wiggle_draws(snapshot.n_sealers, rng),
     )
 
 
