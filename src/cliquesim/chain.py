@@ -40,7 +40,7 @@ class UnknownBlockError(ChainError):
     """Queried hash is not in the store."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BlockHeader:
     """The unit of consensus: one sealed block.
 
@@ -56,6 +56,10 @@ class BlockHeader:
     (``dataclasses.replace`` builds a new one). The digest is the SHA-256 of
     ``number|parent hex|sealer_index|sealer_addr|difficulty|sim_time_ms|runs``,
     where ``runs`` is ``start:stop`` per run, comma-separated.
+
+    Nothing assigns to a header after building it, and it hashes as its
+    digest. It is not frozen: a frozen build sets each field through
+    ``object.__setattr__``, one call per field.
     """
 
     number: int
@@ -82,8 +86,11 @@ class BlockHeader:
             f"{self.number}|{self.parent.hex()}|{self.sealer_index}|{self.sealer_addr}|"
             f"{self.difficulty}|{self.sim_time_ms}|{','.join(runs)}"
         )
-        object.__setattr__(self, "tx_count", tx_count)
-        object.__setattr__(self, "digest", hashlib.sha256(encoding.encode("ascii")).digest())
+        self.tx_count = tx_count
+        self.digest = hashlib.sha256(encoding.encode("ascii")).digest()
+
+    def __hash__(self) -> int:
+        return hash(self.digest)
 
     def is_genesis(self) -> bool:
         return self.number == 0 and self.parent == NIL_PARENT
@@ -198,19 +205,13 @@ class ChainStore:
 
     def canonical_chain(self, head: bytes) -> list[BlockHeader]:
         """Headers from genesis to ``head``, ascending by number."""
-        return self.chain_tail(head, self.header(head).number + 1)
-
-    def chain_tail(self, head: bytes, depth: int) -> list[BlockHeader]:
-        """The last ``depth`` headers of ``canonical_chain(head)``, ascending."""
         header = self.header(head)
-        tail = [header] if depth > 0 else []
-        # A header numbered n has n ancestors, genesis the last, so the walk
-        # takes min(depth, n + 1) - 1 steps (the builtin ``min`` costs more).
-        for _ in range(depth - 1 if depth <= header.number else header.number):
+        chain = [header]
+        for _ in range(header.number):  # a header numbered n has n ancestors
             header = self._headers[header.parent]
-            tail.append(header)
-        tail.reverse()
-        return tail
+            chain.append(header)
+        chain.reverse()
+        return chain
 
     def reorg(
         self, old_head: bytes, new_head: bytes

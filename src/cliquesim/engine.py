@@ -69,7 +69,7 @@ def wiggle_draws(n_sealers: int, rng: random.Random) -> Iterator[int]:
     return uniform_draws(rng, 0, recents_window(n_sealers) * WIGGLE_STEP_MS)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SealerSnapshot:
     """Sealer count plus the sealers the recently-signed window bars.
 
@@ -82,12 +82,16 @@ class SealerSnapshot:
     ``tail`` holds those last W - 1 headers, oldest first: the snapshot at
     the next block is ``snapshot_for_chain(n_sealers, tail + (next,))``.
     It is not part of the snapshot's value, so two snapshots with the same
-    count and recent signers compare and hash equal.
+    count and recent signers compare and hash equal. Like a header, a
+    snapshot is a value that nothing assigns to after building it.
     """
 
     n_sealers: int
     recent: frozenset[int] = frozenset()
     tail: tuple[BlockHeader, ...] = field(default=(), compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        return hash((self.n_sealers, self.recent))
 
 
 def signed_recently(snapshot: SealerSnapshot, sealer_index: int) -> bool:

@@ -35,8 +35,9 @@ parent hash and so fixes the whole branch: every node that holds the
 block builds the same snapshot at it, and every node with the same
 verification flags reaches the same verdict on it (EIP-225 makes a
 header's validity a function of the header and the snapshot at its
-parent). The memo builds each block's snapshot from its parent's and the
-block's header, so no snapshot walks the chain.
+parent). A block's snapshot is built when its first verdict accepts it,
+from the parent's snapshot and the block's header, so no snapshot walks
+the chain and every stored block has one.
 
 Timestamps vs. firing: a header carries the protocol-claimed time
 (parent + interval). Honest sealers only fire at or after the claim, but
@@ -109,14 +110,14 @@ class Node:
     seal attempts (node i is sealer i) and every block it rejected, keyed by
     ``(sealer index, reason)``. Reports sum these; nothing else keeps them.
 
-    The mempool follows the head lazily. ``pool_head`` is the head it is
-    caught up to, always an ancestor of (or equal to) ``head``: a one-block
-    extension of the head moves only ``head``, and the mempool catches up
-    along ``pool_head -> head`` only when it is next read or moved (a pack
-    or any other head move). Adopting a run of extensions one by one or
-    all at once leaves the same sets, so the delay changes nothing. The
-    restore of a rejected own block does not catch up first: it commutes
-    with the later adoption (``Mempool.restore``).
+    The mempool follows the head lazily. ``lag`` holds, oldest first, the
+    one-block extensions of the head adopted since the mempool last caught
+    up: such an extension moves only ``head`` and appends its header, and
+    the mempool adopts the whole list only when it is next read or moved
+    (a pack or any other head move). Adopting a run of extensions one by
+    one or all at once leaves the same sets, so the delay changes nothing.
+    The restore of a rejected own block does not catch up first: it
+    commutes with the later adoption (``Mempool.restore``).
     """
 
     def __init__(
@@ -131,8 +132,9 @@ class Node:
         self.policy = policy
         self.flags = flags
         self.store = ChainStore()
-        self.head = self.pool_head = self.store.genesis
+        self.head = self.store.genesis
         self.mempool = Mempool()
+        self.lag: list[BlockHeader] = []
         self.verdicts = sim.verdicts.setdefault(flags, {})
         self.pending: ProposalPlan | None = None
         # Blocks whose parent we have not seen yet, keyed by that parent.
@@ -170,6 +172,11 @@ class Node:
         (``Simulation.verdicts``), so of all the nodes with the same flags
         only the first to import a block runs ``verify_header`` on it. The
         memo holds the reason's name, the key a rejection is tallied under.
+
+        The first verdict that accepts a block builds its entry in the run's
+        snapshot memo (``Simulation.snapshots``) from the parent's entry and
+        the header, so every stored block has one. A one-block extension of
+        the head joins ``lag``.
         """
         if header.sim_time_ms > self.sim.now:
             self.sim.schedule(header.sim_time_ms, DELIVERY, self._admit, header)
@@ -182,8 +189,13 @@ class Node:
         try:
             reason = self.verdicts[block_hash]
         except KeyError:
-            verdict = verify_header(header, self._snapshot_at(header.parent), self.flags)
+            snapshots = self.sim.snapshots
+            parent_snapshot = snapshots[header.parent]
+            verdict = verify_header(header, parent_snapshot, self.flags)
             reason = self.verdicts[block_hash] = None if verdict is None else verdict.value
+            if reason is None and block_hash not in snapshots:  # another flag set may have built it
+                tail = parent_snapshot.tail + (header,)
+                snapshots[block_hash] = snapshot_for_chain(len(self.sim.sealers), tail)
         if reason is not None:
             self.rejections[header.sealer_index, reason] += 1
             if header.sealer_index == self.index:
@@ -193,45 +205,24 @@ class Node:
         new_head = self.store.select_head()
         if new_head == block_hash and on_head:
             self.head = new_head
-            self.replan()
+            self.lag.append(header)
+            self.replan(header)
         elif new_head != self.head:
             self._move_head(new_head)
         for child in self.orphans.pop(block_hash, ()):
             self._admit(child)
 
-    def _snapshot_at(self, block_hash: bytes) -> SealerSnapshot:
-        """Snapshot of the recent signers on the branch ending at ``block_hash``.
-
-        The run memoises one snapshot per block in ``Simulation.snapshots``,
-        shared by all nodes: the hash fixes the whole branch, so whichever
-        node builds the entry first builds the one every other node would.
-        An entry is built from the parent's entry and the block's header
-        alone. The parent's entry always exists: a block is stored only
-        after a verdict, every verdict was reached against the snapshot at
-        the block's parent, and genesis's entry is made with the memo.
-        """
-        snapshots = self.sim.snapshots
-        snapshot = snapshots.get(block_hash)
-        if snapshot is None:
-            header = self.store.header(block_hash)
-            snapshot = snapshots[block_hash] = snapshot_for_chain(
-                len(self.sim.sealers), snapshots[header.parent].tail + (header,)
-            )
-        return snapshot
-
     def _sync_pool(self) -> None:
         """Catch the mempool up to the ids created so far and to the head.
 
-        The blocks from ``pool_head`` to ``head`` extend the chain the
-        mempool follows, so one walk back from ``head`` finds them all, and
-        they are adopted in one update that abandons nothing.
+        The headers in ``lag`` extend the chain the mempool follows, in
+        order, up to ``head``, so they are adopted in one update that
+        abandons nothing, and the list is emptied.
         """
         self.mempool.catch_up(self.sim.txs_generated)
-        if self.pool_head != self.head:
-            store = self.store
-            lag = store.header(self.head).number - store.header(self.pool_head).number
-            self.mempool.on_canonical_update((), store.chain_tail(self.head, lag))
-            self.pool_head = self.head
+        if self.lag:
+            self.mempool.on_canonical_update((), self.lag)
+            self.lag.clear()
 
     def _move_head(self, new_head: bytes) -> None:
         """Move the head anywhere but to a one-block extension of it.
@@ -239,21 +230,22 @@ class Node:
         The mempool first catches up to the old head, then follows the
         move. The two updates stay apart: a block adopted and then
         abandoned must hand its ids back to pending, which one net diff
-        from ``pool_head`` to ``new_head`` would skip.
+        from the mempool's head to ``new_head`` would skip. ``reorg``
+        returns ``new_head``, a tip and so no ancestor of the old head, last.
         """
         self._sync_pool()
         abandoned, adopted = self.store.reorg(self.head, new_head)
-        self.head = self.pool_head = new_head
+        self.head = new_head
         self.mempool.on_canonical_update(abandoned, adopted)
-        self.replan()
+        self.replan(adopted[-1])
 
     # -- proposing ---------------------------------------------------------
 
-    def replan(self) -> None:
-        """Cancel any stale plan and schedule a fresh one on the current head."""
+    def replan(self, head_header: BlockHeader) -> None:
+        """Cancel any stale plan and schedule a fresh one on the head, ``head_header``."""
         sim, head = self.sim, self.head
         plan = self.pending = strategies.plan_proposal(
-            self.policy, self.store.header(head), head, self._snapshot_at(head),
+            self.policy, head_header, head, sim.snapshots[head],
             sim.now, sim.config.block_interval_ms, self.index, sim.wiggles,
         )
         if plan.eligible:
@@ -379,7 +371,7 @@ class Simulation:
         self._tx_batches = tx_batch_schedule(config.tx_rate_per_s, config.duration_ms)
         self._queue_next_batch()
         for node in self.nodes:
-            node.replan()
+            node.replan(GENESIS)
 
     def _add_txs(self, txs: range) -> None:
         self.txs_generated += len(txs)

@@ -83,10 +83,11 @@ def plan_proposal(
     bypassing the recents window makes the plan eligible. Only a waiting
     sealer that is not the round leader takes the next of ``wiggles``.
     """
-    n_sealers = snapshot.n_sealers
     height = parent.number + 1
-    claim = max(parent.sim_time_ms + block_interval_ms, now_ms)
-    in_turn = self_index == leader_index(height, n_sealers)
+    claim = parent.sim_time_ms + block_interval_ms
+    if claim < now_ms:
+        claim = now_ms
+    in_turn = self_index == leader_index(height, snapshot.n_sealers)
     if policy.forced_difficulty is not None:
         difficulty = policy.forced_difficulty
     else:
@@ -98,7 +99,8 @@ def plan_proposal(
     else:
         fire_at = claim + next(wiggles)
     eligible = policy.bypass_recents or not signed_recently(snapshot, self_index)
-    return ProposalPlan(height, parent_hash, difficulty, claim, fire_at, eligible)
+    # ``tuple.__new__`` skips the Python-level ``__new__`` a NamedTuple call runs.
+    return tuple.__new__(ProposalPlan, (height, parent_hash, difficulty, claim, fire_at, eligible))
 
 
 # ``perfbench/tracing.py`` finds the planning layer under this name; the

@@ -119,24 +119,27 @@ def ledger_at_head(sim, node) -> tuple[set[int], set[int]]:
 
     A node's mempool follows it lazily in two ways. New ids from the
     mempool's ``frontier`` up to ``sim.txs_generated`` are created but not
-    yet added, and count as pending. And the mempool's sets are as of
-    ``node.pool_head``: the blocks from there to ``node.head`` (the lag)
-    are adopted but not yet applied, so their ids count as canonical and
-    not pending. Catching the mempool up here would hide a catch-up the
+    yet added, and count as pending. And the mempool's sets are as of its
+    pool head, the parent of the first header in ``node.lag``, or
+    ``node.head`` when the lag is empty: the headers in ``node.lag`` are
+    adopted but not yet applied, so their ids count as canonical and not
+    pending. Catching the mempool up here would hide a catch-up the
     simulator missed, so this calls no method of the node or its mempool
     that writes; it derives both sets from copies. It checks the raw state
     on the way: the added ids all lie below the frontier, the canonical
-    set holds exactly the ids on the chain to ``pool_head``, and
-    ``pool_head`` is an ancestor of ``head`` (the lag, read through
-    ``canonical_diff``, abandons nothing).
+    set holds exactly the ids on the chain to the pool head, and
+    ``node.lag`` is the chain from the pool head to ``head``, read through
+    ``canonical_diff``, which abandons nothing.
     """
     pool, where = node.mempool, f"node {node.index} at {sim.now} ms"
     pending, canonical = set(pool.pending), set(pool.canonical)
     assert pool.frontier <= sim.txs_generated, where
     assert max(pending, default=-1) < pool.frontier, where
-    assert canonical == tx_ids_of(node.store.canonical_chain(node.pool_head)), where
-    abandoned, lag = canonical_diff(node.store, node.pool_head, node.head)
-    assert not abandoned, f"{where}: pool_head is not an ancestor of head"
+    pool_head = node.lag[0].parent if node.lag else node.head
+    assert canonical == tx_ids_of(node.store.canonical_chain(pool_head)), where
+    abandoned, lag = canonical_diff(node.store, pool_head, node.head)
+    assert not abandoned, f"{where}: the pool head is not an ancestor of head"
+    assert node.lag == lag, f"{where}: the lag list is not the chain from the pool head to head"
     lag_ids = tx_ids_of(lag)
     return (pending | set(range(pool.frontier, sim.txs_generated))) - lag_ids, canonical | lag_ids
 

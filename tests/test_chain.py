@@ -85,10 +85,17 @@ def test_digest_is_sha256_of_the_documented_encoding(
     assert header.digest == hashlib.sha256("|".join(fields).encode("ascii")).digest()
     assert hash_header(header) == header.digest
     assert header.tx_count == sum(stop - start for start, stop in tx_runs)
+    # A header is a slotted value: one built from equal fields is equal, hashes
+    # equal and is one element of a set.
+    assert not hasattr(header, "__dict__")
+    twin = BlockHeader(number, parent, sealer_index, sealer_addr, difficulty, sim_time_ms, tuple(tx_runs))
+    assert twin is not header and twin == header and hash(twin) == hash(header)
+    assert len({header, twin}) == 1
     # Both are derived, so a replace recomputes them.
     bumped = dataclasses.replace(header, number=number + 1, tx_runs=())
     fresh = BlockHeader(number + 1, parent, sealer_index, sealer_addr, difficulty, sim_time_ms)
     assert (bumped.tx_count, bumped.digest) == (0, fresh.digest)
+    assert bumped != header and len({header, bumped, fresh}) == 2
     restored = dataclasses.replace(bumped, number=number, tx_runs=tuple(tx_runs))
     assert restored == header and hash(restored) == hash(header) and restored.digest == header.digest
 
@@ -240,7 +247,7 @@ def test_select_head_matches_brute_force_after_every_extend():
 
 def test_canonical_chain_of_genesis(store):
     chain = store.canonical_chain(store.genesis)
-    assert len(chain) == 1 and chain[0].is_genesis()
+    assert chain == [store.header(store.genesis)] and chain[0].is_genesis()
 
 
 def test_canonical_chain_linear(store):
@@ -250,6 +257,14 @@ def test_canonical_chain_linear(store):
     chain = store.canonical_chain(tip)
     assert len(chain) == 11
     assert [h.number for h in chain] == list(range(11))
+
+
+def test_canonical_chain_at_a_three_block_head_skips_a_side_branch(store):
+    a1 = grow(store, store.genesis)
+    a2 = grow(store, a1)
+    a3 = grow(store, a2)
+    grow(store, a2, sealer_index=1)  # a side branch the walk must not see
+    assert store.canonical_chain(a3) == [store.header(h) for h in (store.genesis, a1, a2, a3)]
 
 
 def test_canonical_chain_after_reorg(store):
@@ -280,7 +295,7 @@ def test_canonical_numbers_have_no_gaps_random():
     assert [h.number for h in chain] == list(range(len(chain)))
 
 
-# -- reorg diff and chain tail ------------------------------------------------------
+# -- reorg diff --------------------------------------------------------------
 
 def test_reorg_cases(store):
     a1 = grow(store, store.genesis)
@@ -302,22 +317,7 @@ def test_reorg_cases(store):
         store.reorg(a3, b"\x44" * 32)
 
 
-def test_chain_tail_depths_at_genesis_and_at_a_three_block_head(store):
-    genesis = store.header(store.genesis)
-    for depth in (0, 1, 5):  # at genesis, number + 1 is 1 and number + 5 is 5
-        assert store.chain_tail(store.genesis, depth) == [genesis][:depth]
-    a1 = grow(store, store.genesis)
-    a2 = grow(store, a1)
-    a3 = grow(store, a2)
-    grow(store, a2, sealer_index=1)  # a side branch the walk must not see
-    chain = [store.header(h) for h in (store.genesis, a1, a2, a3)]
-    assert store.chain_tail(a3, 0) == []
-    assert store.chain_tail(a3, 1) == chain[3:]
-    assert store.chain_tail(a3, 3 + 1) == chain
-    assert store.chain_tail(a3, 3 + 5) == chain
-
-
-def test_reorg_and_chain_tail_match_full_chains_on_random_trees():
+def test_reorg_and_canonical_chain_match_parent_links_on_random_trees():
     rng = random.Random(404)
     for _ in range(30):
         store = ChainStore()
@@ -328,9 +328,10 @@ def test_reorg_and_chain_tail_match_full_chains_on_random_trees():
         for _ in range(30):
             old, new = rng.choice(hashes), rng.choice(hashes)
             assert store.reorg(old, new) == canonical_diff(store, old, new)
-            depth = rng.randrange(6)
+            # From genesis to ``new`` along parent links, so no side branch.
             chain = store.canonical_chain(new)
-            assert store.chain_tail(new, depth) == chain[max(0, len(chain) - depth):]
+            assert chain[0].is_genesis() and chain[-1] is store.header(new)
+            assert all(child.parent == hash_header(parent) for parent, child in zip(chain, chain[1:]))
         # Every one-block extension in the tree, the shortest walk there is.
         for new in hashes[1:]:
             parent = store.header(new).parent

@@ -1,13 +1,14 @@
 """Whole-run properties: node state at the end of a run, and work per event.
 
 The node keeps its tx ledger, its head and the sealer snapshot at that head
-up to date incrementally as blocks arrive (the ledger lazily, as of its
-``pool_head``). The invariant test rebuilds each of them from the node's
-chain store after the run and compares, and checks
-every entry of the run's snapshot memo that node could read against a
-rebuild from the node's own store, at every block of the store: the memo
-builds each entry from the parent's, headers read included, so one wrong
-entry would spoil all below it. The work tests count
+up to date incrementally as blocks arrive (the ledger lazily, short of the
+one-block extensions in its ``lag``). The invariant test rebuilds each of
+them from the node's chain store after the run and compares, and checks
+the run's snapshot memo against a rebuild from the node's own store, at
+every block of the store: the memo builds each entry from the parent's,
+headers read included, so one wrong entry would spoil all below it. The
+memo holds an entry for exactly the blocks some node stored. The work
+tests count
 the headers the chain store's walks hand back, which must grow with the
 number of dispatched events, not with the length of the chain; the
 header hashes, at most one per stored block; the snapshots built,
@@ -52,7 +53,7 @@ from cliquesim.simnet import Node
 from conftest import brute_force_head, in_flight, iter_hashes, ledger_at_head, short_preset
 
 # Every ChainStore method that walks parent pointers and returns headers.
-WALKS = ("canonical_chain", "reorg", "chain_tail")
+WALKS = ("canonical_chain", "reorg")
 
 ZERO_DIFFICULTY_SCENARIO = """\
 n_sealers = 5
@@ -112,12 +113,11 @@ def test_end_of_run_node_invariants(config):
         assert pending | canonical | in_flight(sim, node) == set(range(sim.txs_generated))
         n_sealers = len(sim.sealers)
         assert sim.snapshots[node.head] == snapshot_for_chain(n_sealers, chain)
-        # The memo builds each entry from its parent's, headers read included.
-        # A block no node planned on or verified a child against has no entry
-        # yet; ``_snapshot_at`` builds it here from its parent's, as a run would.
+        # The memo builds each entry from its parent's, headers read included,
+        # when the block's first verdict accepts it, so every stored block has one.
         for h in iter_hashes(node.store):
             full = node.store.canonical_chain(h)
-            memo = node._snapshot_at(h)
+            memo = sim.snapshots[h]
             assert memo == snapshot_for_chain(n_sealers, full), f"node {node.index}"
             # the last W - 1 = floor(N/2) headers, or the whole chain if shorter
             assert memo.tail == tuple(full[max(0, len(full) - n_sealers // 2):]), f"node {node.index}"
@@ -135,7 +135,8 @@ def test_snapshot_value_is_the_count_and_the_recent_signers():
     one = snapshot_for_chain(5, chain_of(1, 3, 4))
     other = snapshot_for_chain(5, chain_of(4, 3))
     assert one.tail != other.tail
-    assert one == other and hash(one) == hash(other)
+    assert one == other and hash(one) == hash(other) and len({one, other}) == 1
+    assert not hasattr(one, "__dict__")  # slotted, like a header
     assert one == SealerSnapshot(5, frozenset({3, 4}))
     compared = [f.name for f in dataclasses.fields(SealerSnapshot) if f.compare]
     assert compared == ["n_sealers", "recent"]
@@ -225,26 +226,43 @@ def test_each_stored_block_is_hashed_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config,rejected_everywhere,split",
     [
-        pytest.param(FIXED_N21, id="fixed-n21"),
-        pytest.param(preset_config("honest"), id="honest"),
+        pytest.param(FIXED_N21, True, False, id="fixed-n21"),
+        pytest.param(preset_config("honest"), False, False, id="honest"),
+        pytest.param(MIXED_FLAGS, False, False, id="vulnerable-slow-attacker-fixed-peer"),
+        pytest.param(ATTACK_FIXED_PEER, False, True, id="attack-fixed-peer"),
     ],
 )
-def test_snapshot_built_once_per_block(monkeypatch, config):
-    calls = 0
+def test_snapshot_built_once_per_block(monkeypatch, config, rejected_everywhere, split):
+    """The memo's keys are the union of every node's stored hashes, each built once.
+
+    A block's entry is built when its first verdict accepts it, whatever
+    the committee size. So a block that every flag set rejected (the
+    frontrunner's on ``fixed-n21``) has no entry, and one that a flag set
+    accepted and another rejected (the frontrunner's in
+    ``attack-fixed-peer``) has exactly one.
+    """
+    built: Counter[bytes] = Counter()
     build = cliquesim.simnet.snapshot_for_chain
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return build(*args, **kwargs)
+    def counting(n_sealers, headers):
+        built[hash_header(headers[-1])] += 1
+        return build(n_sealers, headers)
 
     monkeypatch.setattr(cliquesim.simnet, "snapshot_for_chain", counting)
     sim = build_simulation(config)
     sim.run_until(config.duration_ms)
-    blocks = {h for node in sim.nodes for h in iter_hashes(node.store)}
-    assert calls <= len(blocks), f"{calls} snapshots built for {len(blocks)} distinct blocks"
+    stored = {h for node in sim.nodes for h in iter_hashes(node.store)}
+    assert sim.snapshots.keys() == stored
+    assert built.keys() == stored and max(built.values()) == 1  # genesis's with the memo
+    accepted_by: dict[bytes, set[bool]] = {}  # block hash -> the verdicts its flag sets reached
+    for memo in sim.verdicts.values():
+        for h, reason in memo.items():
+            accepted_by.setdefault(h, set()).add(reason is None)
+    assert {h for h, verdicts in accepted_by.items() if True not in verdicts}.isdisjoint(sim.snapshots)
+    assert any(verdicts == {False} for verdicts in accepted_by.values()) == rejected_everywhere
+    assert any(verdicts == {True, False} for verdicts in accepted_by.values()) == split
 
 
 @pytest.mark.parametrize(
@@ -321,12 +339,13 @@ def test_mempool_follows_the_head_only_when_used(monkeypatch, config):
 
     replan = Node.replan
 
-    def watching(node):
+    def watching(node, head_header):
+        assert head_header is node.store.header(node.head), "replan got a header other than the head's"
         last = planned_from.get(id(node), node.head)
-        if node.head != last and node.store.header(node.head).parent != last:
+        if node.head != last and head_header.parent != last:
             other_moves[id(node)] += 1
         planned_from[id(node)] = node.head
-        replan(node)
+        replan(node, head_header)
 
     for owner, name in ((Mempool, "pack_block"), (Mempool, "on_canonical_update")):
         monkeypatch.setattr(owner, name, counting(owner, name))

@@ -564,11 +564,11 @@ def test_store_lookups_per_event_stay_flat_as_runs_lengthen(monkeypatch):
     """A run's chain work per event does not grow with the chain's length.
 
     Every store's header and total-difficulty maps count their lookups, so
-    the parent steps of ``chain_tail`` and ``reorg`` are counted along with
-    every other read. A walk that reached back towards genesis on each
-    import (a snapshot built from the whole chain, a head move that walked
-    both chains in full) would make a run four times as long cost far more
-    than four times the lookups.
+    the parent steps of ``reorg`` are counted along with every other read.
+    A walk that reached back towards genesis on each import (a snapshot
+    built from the whole chain, a head move that walked both chains in
+    full) would make a run four times as long cost far more than four
+    times the lookups.
     """
     lookups = 0
 

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cliquesim import (
     FIXED,
@@ -216,35 +218,65 @@ ALL_POLICIES = [
 ]
 
 
-@pytest.mark.parametrize("policy", ALL_POLICIES, ids=repr)
-def test_plan_matches_honest_plan_with_overrides(policy):
+@st.composite
+def plan_cases(draw):
+    """``(n, signers, parent_time, now, sealer, seed)``: ``signers[i]`` sealed
+    block i + 1 of the parent's chain, so the parent is numbered
+    ``len(signers)``; ``now`` falls before, at or after the claim (parent
+    time plus the interval); ``seed`` seeds the wiggle generator."""
+    n = draw(st.sampled_from([*range(1, 10), 21]))
+    signers = draw(st.lists(st.integers(0, n - 1), max_size=40))
+    parent_time = len(signers) * 5000 + draw(st.integers(0, 2999))
+    now = parent_time + draw(st.integers(0, 12_000))
+    return n, tuple(signers), parent_time, now, draw(st.integers(0, n - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+def seeded_loop_cases():
+    """300 cases drawn by a seeded loop, the same for every policy."""
     rng = random.Random(31)
     for _ in range(300):
         n = rng.randint(1, 9)
-        parent_number = rng.randrange(40)
-        history = [(number, rng.randrange(n)) for number in range(1, parent_number + 1)]
-        chain = [make_genesis()] + [
-            BlockHeader(
-                number=number,
-                parent=b"\x00" * 32,
-                sealer_index=signer,
-                sealer_addr=f"0x{signer:040x}",
-                difficulty=1,
-                sim_time_ms=number * 5000,
-            )
-            for number, signer in history
-        ]
-        parent_time = parent_number * 5000 + rng.randrange(3000)
-        parent = make_parent(parent_number, parent_time)
+        signers = tuple(rng.randrange(n) for _ in range(rng.randrange(40)))
+        parent_time = len(signers) * 5000 + rng.randrange(3000)
         now = parent_time + rng.choice((0, rng.randrange(12_000)))
-        snapshot = snapshot_for_chain(n, chain)
-        sealer = rng.randrange(n)
-        seed = rng.randrange(2**32)
-        actual_rng, expected_rng = random.Random(seed), random.Random(seed)
-        actual = plan_on(policy, sealer, actual_rng, parent, snapshot, now)
-        expected = reference_plan(policy, parent, snapshot, now, sealer, expected_rng, history)
-        assert actual == expected
-        assert actual_rng.getstate() == expected_rng.getstate()
+        yield n, signers, parent_time, now, rng.randrange(n), rng.randrange(2**32)
+
+
+def check_plan(policy, case):
+    n, signers, parent_time, now, sealer, seed = case
+    history = list(enumerate(signers, start=1))
+    chain = [make_genesis()] + [
+        BlockHeader(
+            number=number,
+            parent=b"\x00" * 32,
+            sealer_index=signer,
+            sealer_addr=f"0x{signer:040x}",
+            difficulty=1,
+            sim_time_ms=number * 5000,
+        )
+        for number, signer in history
+    ]
+    parent = make_parent(len(signers), parent_time)
+    snapshot = snapshot_for_chain(n, chain)
+    actual_rng, expected_rng = random.Random(seed), random.Random(seed)
+    actual = plan_on(policy, sealer, actual_rng, parent, snapshot, now)
+    expected = reference_plan(policy, parent, snapshot, now, sealer, expected_rng, history)
+    assert actual == expected and type(actual) is ProposalPlan, (policy, case)
+    assert actual_rng.getstate() == expected_rng.getstate(), (policy, case)
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES, ids=repr)
+def test_plan_matches_honest_plan_with_overrides(policy):
+    for case in seeded_loop_cases():
+        check_plan(policy, case)
+
+
+@given(case=plan_cases())
+def test_plan_matches_reference_plan_on_drawn_cases(case):
+    """Each drawn case is checked under all 16 policies: drawing a case costs
+    hypothesis several times what the 16 checks do."""
+    for policy in ALL_POLICIES:
+        check_plan(policy, case)
 
 
 def test_deviates_means_any_constraint_dropped():
