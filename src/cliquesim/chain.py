@@ -162,8 +162,8 @@ class ChainStore:
             raise UnknownBlockError(block_hash.hex()) from None
 
     def extend(self, header: BlockHeader) -> bytes:
-        """Insert ``header`` under its parent and return its hash."""
-        block_hash = hash_header(header)
+        """Insert ``header`` under its parent and return its hash, the header's digest."""
+        block_hash = header.digest
         if block_hash in self._headers:
             raise DuplicateBlockError(block_hash.hex())
         parent = self._headers.get(header.parent)

@@ -103,11 +103,12 @@ def snapshot_for_chain(n_sealers: int, headers: Sequence[BlockHeader]) -> Sealer
     """Snapshot as of the last header of a canonical sequence (genesis first).
 
     Only the last W - 1 headers matter, so a caller may pass just those,
-    such as a parent snapshot's ``tail`` plus the child header.
+    such as a parent snapshot's ``tail`` plus the child header. In a
+    canonical sequence only genesis is numbered 0, and it has no signer.
     """
     kept = recents_window(n_sealers) - 1
     tail = tuple(headers[max(len(headers) - kept, 0):])
-    recent = frozenset(header.sealer_index for header in tail if not header.is_genesis())
+    recent = frozenset([header.sealer_index for header in tail if header.number])
     return SealerSnapshot(n_sealers, recent, tail)
 
 

@@ -19,14 +19,15 @@ the network has already handed it before it signs, and a round leader
 whose slot was frontrun cancels instead of racing its own stale plan.
 
 The queue holds only live events: block arrivals, buffered releases, seal
-timers and the next tx batch. Each batch queues the one after it when it
-runs, so setup and the queue do not grow with the run's duration. A batch
-is queued later than the events it must precede, so its seq alone would
-not put it first; the ``TXS`` rank does.
+timers and the next tx batch. Each batch draws and queues the next one
+as it runs, so setup and the queue do not grow with the run's duration.
+A batch is queued later than the events it must precede, so its seq
+alone would not put it first; the ``TXS`` rank does.
 
-Network model: full-mesh broadcast among N sealer nodes with independent
-uniform per-link delays and no message loss (partial synchrony: everything
-is eventually delivered). Each node keeps its own chain store, mempool and
+Network model: full-mesh broadcast among N sealer nodes, each sender's
+peers listed once when the simulation is built, with independent uniform
+per-link delays and no message loss (partial synchrony: everything is
+eventually delivered). Each node keeps its own chain store, mempool and
 head, and owns the run's tallies of what happened at it (its seal attempts,
 the blocks it rejected); reports derive per-sealer counts from the nodes.
 Nodes share only the wire and the run's sealer-snapshot memo and its
@@ -297,8 +298,9 @@ class Simulation:
 
     Every setting is read from ``config``, which has already checked it.
     ``rng`` is drawn from only through ``link_delays`` and ``wiggles``.
-    ``_delivers`` binds each node's ``deliver`` when the simulation is
-    built, so a patch of ``Node.deliver`` must come before the build."""
+    ``_peers[i]`` holds the bound ``deliver`` of every node but ``i``, in
+    index order, built with the simulation: a patch of ``Node.deliver``
+    must come before the build."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -324,8 +326,8 @@ class Simulation:
             Node(self, i, policy, flags)
             for i, (policy, flags) in enumerate(zip(config.policies(), config.flag_list()))
         ]
-        # A list: CPython 3.11 never reuses a freed 20-item tuple (the peers at N = 21).
-        self._delivers = [node.deliver for node in self.nodes]
+        delivers = [node.deliver for node in self.nodes]
+        self._peers = [delivers[:i] + delivers[i + 1:] for i in range(len(delivers))]
 
     # -- scheduling --------------------------------------------------------
 
@@ -343,9 +345,8 @@ class Simulation:
         instant. Arrivals skip ``schedule``'s past check: ``ScenarioConfig``
         keeps every delay >= 0.
         """
-        delivers, now, queue, seq = self._delivers, self.now, self._queue, self._next_seq
-        peers = delivers[:from_node] + delivers[from_node + 1:]
-        for deliver, delay in zip(peers, self.link_delays):  # peers first: no extra draw
+        now, queue, seq = self.now, self._queue, self._next_seq
+        for deliver, delay in zip(self._peers[from_node], self.link_delays):  # peers first: no extra draw
             heapq.heappush(queue, (now + delay, DELIVERY, seq, deliver, header))
             seq += 1
         self._next_seq = seq
@@ -394,9 +395,9 @@ class Simulation:
         """
         self.t_end = t_end_ms
         drain_end = t_end_ms + 2 * self.config.delay_max_ms
-        queue = self._queue
+        queue, heappop = self._queue, heapq.heappop
         while queue and queue[0][0] <= drain_end:
-            self.now, _, _, action, arg = heapq.heappop(queue)
+            self.now, _, _, action, arg = heappop(queue)
             action(arg)
         self._check_agreement()
         return SimResult(

@@ -14,7 +14,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from math import inf
-from operator import attrgetter
 
 from .chain import BlockHeader
 
@@ -180,8 +179,8 @@ class Mempool:
         ``abandoned`` and ``adopted`` are the two branches a head move
         leaves and joins, past their common ancestor (``ChainStore.reorg``).
         A tx in both branches ends canonical. A branch only removes ids
-        from one set and adds them to the other, so its blocks may be
-        applied in any order, and as the union of their runs: a run of
+        from one set and adds them to the other, and a set has one bound list,
+        so its blocks' runs may come in any order and overlap: a run of
         blocks that pack consecutive ids costs one update, not one per block.
         """
         for start, stop in _union(abandoned):
@@ -193,19 +192,18 @@ class Mempool:
 
 
 def _union(headers: Sequence[BlockHeader]) -> Sequence[tuple[int, int]]:
-    """The ids of all ``headers``' runs as ascending, disjoint, non-touching runs."""
+    """The ids of all ``headers``' runs, in chain order, unsorted (they feed set operations).
+
+    A run that starts where the one before it stopped is joined to it; one
+    header's runs are returned as they are.
+    """
     if len(headers) < 2:
         return headers[0].tx_runs if headers else ()
-    runs = sorted(chain.from_iterable(map(attrgetter("tx_runs"), headers)))
-    if not runs:  # every block is empty, as under ``tx_cap = 0``
-        return runs
-    merged = []
-    start, stop = runs[0]
-    for run_start, run_stop in runs:
-        if run_start > stop:
-            merged.append((start, stop))
-            start = run_start
-        if run_stop > stop:
-            stop = run_stop
-    merged.append((start, stop))
-    return merged
+    runs: list[tuple[int, int]] = []
+    for header in headers:
+        for start, stop in header.tx_runs:
+            if runs and runs[-1][1] == start:
+                runs[-1] = (runs[-1][0], stop)
+            else:
+                runs.append((start, stop))
+    return runs

@@ -28,7 +28,12 @@ and sealer 2 frontrunning) or 4 s (sealers 2 and 4 frontrunning, with
 ``tx_cap`` 3), all under the hardened verifier, so every node reorganises
 several times a minute; a mempool update that went wrong only across a
 reorg shows up there. They were produced before a node's mempool came to
-follow its head lazily.
+follow its head lazily. ``vulnerable-slow-attacker-fixed-peer-slow-links``
+runs the flawed verifier at every node but node 3 over links of 0.5-2 s,
+with sealer 1 claiming difficulty 2 out of turn while keeping the honest
+wiggle and recents window; node 3 rejects 10 of its blocks, so the pin
+covers blocks that the two flag sets judge apart. It was produced before
+a node's mempool came to adopt its lag in chain order without a sort.
 
 The block log and the report count each block's txs but do not list
 them. ``golden/heads.json`` therefore pins node 0's final head hash, which

@@ -76,7 +76,16 @@ FIXED_N21 = dataclasses.replace(preset_config("fixed"), n_sealers=21, duration_m
 
 
 GOLDEN_SCENARIOS = json.loads((Path(__file__).parent / "golden" / "scenarios.json").read_text())
+# The flawed verifier everywhere but at sealer 3, with sealer 1 claiming
+# difficulty 2 out of turn but keeping the honest wiggle and recents window.
+# With links of 5-50 ms the leader's block always lands first, so no block
+# is ever rejected and the two flag sets never disagree.
 MIXED_FLAGS = parse_scenario(GOLDEN_SCENARIOS["vulnerable-slow-attacker-fixed-peer"]["scenario"])
+# The same sections with links of 500-2000 ms: some of sealer 1's out-of-turn
+# blocks now land first, and the fixed peer, node 3, rejects 10 of them.
+MIXED_FLAGS_SLOW_LINKS = parse_scenario(
+    GOLDEN_SCENARIOS["vulnerable-slow-attacker-fixed-peer-slow-links"]["scenario"]
+)
 SLOW_LINKS = sorted(name for name in GOLDEN_SCENARIOS if name.startswith("slow-links-"))
 # The flawed verifier everywhere but at sealer 3, so the frontrunner's
 # blocks pass at four nodes and fail at one.
@@ -188,19 +197,23 @@ def test_chain_walks_per_event_do_not_grow_with_run_length(monkeypatch):
 
 
 def test_each_stored_block_is_hashed_once(monkeypatch):
-    """An import reads the digest once; only ``ChainStore.extend`` calls ``hash_header``.
+    """A header's digest is computed once, when the header is built.
 
-    Each store also hashes its genesis header once. Every module that
-    imported ``hash_header`` by name gets the counting copy.
+    During ``run_until`` the only headers built are the sealed ones, so the
+    digest computations (``BlockHeader.__post_init__`` runs) equal the
+    nodes' seal attempts, however many peers import each block: an import
+    reads the digest. ``hash_header`` runs once per store, for its
+    genesis. Every module that imported ``hash_header`` by name gets the
+    counting copy.
     """
-    hashes = extends = stores = 0
+    hashes = digests = extends = stores = 0
 
     def counting_hash(header):
         nonlocal hashes
         hashes += 1
         return hash_header(header)
 
-    extend, store_init = ChainStore.extend, ChainStore.__init__
+    extend, store_init, post_init = ChainStore.extend, ChainStore.__init__, BlockHeader.__post_init__
 
     def counting_extend(self, header):
         nonlocal extends
@@ -212,6 +225,11 @@ def test_each_stored_block_is_hashed_once(monkeypatch):
         stores += 1
         store_init(self)
 
+    def counting_post_init(self):
+        nonlocal digests
+        digests += 1
+        post_init(self)
+
     for name, module in list(sys.modules.items()):
         if name.startswith("cliquesim") and getattr(module, "hash_header", None) is hash_header:
             monkeypatch.setattr(module, "hash_header", counting_hash)
@@ -219,10 +237,22 @@ def test_each_stored_block_is_hashed_once(monkeypatch):
     monkeypatch.setattr(ChainStore, "__init__", counting_init)
     config = FIXED_N21
     sim = build_simulation(config)
+    monkeypatch.setattr(BlockHeader, "__post_init__", counting_post_init)
     sim.run_until(config.duration_ms)
     arrivals = sum(node.arrivals for node in sim.nodes)
     assert stores == 21 and extends > 1_000 and arrivals > extends
-    assert hashes <= extends + stores, f"{hashes} hashes for {extends} extends and {stores} stores"
+    assert hashes == stores, f"{hashes} hash_header calls for {stores} stores"
+    attempts = sum(node.attempts for node in sim.nodes)
+    assert digests == attempts, f"{digests} digests for {attempts} seal attempts"
+
+
+def _accepted_by(sim) -> dict[bytes, set[bool]]:
+    """Block hash -> whether each flag set that verified it accepted it."""
+    accepted_by: dict[bytes, set[bool]] = {}
+    for memo in sim.verdicts.values():
+        for h, reason in memo.items():
+            accepted_by.setdefault(h, set()).add(reason is None)
+    return accepted_by
 
 
 @pytest.mark.parametrize(
@@ -231,6 +261,9 @@ def test_each_stored_block_is_hashed_once(monkeypatch):
         pytest.param(FIXED_N21, True, False, id="fixed-n21"),
         pytest.param(preset_config("honest"), False, False, id="honest"),
         pytest.param(MIXED_FLAGS, False, False, id="vulnerable-slow-attacker-fixed-peer"),
+        pytest.param(
+            MIXED_FLAGS_SLOW_LINKS, False, True, id="vulnerable-slow-attacker-fixed-peer-slow-links"
+        ),
         pytest.param(ATTACK_FIXED_PEER, False, True, id="attack-fixed-peer"),
     ],
 )
@@ -241,7 +274,9 @@ def test_snapshot_built_once_per_block(monkeypatch, config, rejected_everywhere,
     the committee size. So a block that every flag set rejected (the
     frontrunner's on ``fixed-n21``) has no entry, and one that a flag set
     accepted and another rejected (the frontrunner's in
-    ``attack-fixed-peer``) has exactly one.
+    ``attack-fixed-peer``, and its out-of-turn blocks in
+    ``vulnerable-slow-attacker-fixed-peer-slow-links``) has exactly one.
+    In ``vulnerable-slow-attacker-fixed-peer`` no block is rejected at all.
     """
     built: Counter[bytes] = Counter()
     build = cliquesim.simnet.snapshot_for_chain
@@ -256,33 +291,33 @@ def test_snapshot_built_once_per_block(monkeypatch, config, rejected_everywhere,
     stored = {h for node in sim.nodes for h in iter_hashes(node.store)}
     assert sim.snapshots.keys() == stored
     assert built.keys() == stored and max(built.values()) == 1  # genesis's with the memo
-    accepted_by: dict[bytes, set[bool]] = {}  # block hash -> the verdicts its flag sets reached
-    for memo in sim.verdicts.values():
-        for h, reason in memo.items():
-            accepted_by.setdefault(h, set()).add(reason is None)
+    accepted_by = _accepted_by(sim)
     assert {h for h, verdicts in accepted_by.items() if True not in verdicts}.isdisjoint(sim.snapshots)
     assert any(verdicts == {False} for verdicts in accepted_by.values()) == rejected_everywhere
     assert any(verdicts == {True, False} for verdicts in accepted_by.values()) == split
 
 
 @pytest.mark.parametrize(
-    "config,flag_sets",
+    "config,flag_sets,split",
     [
-        pytest.param(FIXED_N21, 1, id="fixed-n21"),
-        pytest.param(MIXED_FLAGS, 2, id="vulnerable-slow-attacker-fixed-peer"),
-        pytest.param(ATTACK_FIXED_PEER, 2, id="attack-fixed-peer"),
+        pytest.param(FIXED_N21, 1, False, id="fixed-n21"),
+        pytest.param(MIXED_FLAGS, 2, False, id="vulnerable-slow-attacker-fixed-peer"),
+        pytest.param(
+            MIXED_FLAGS_SLOW_LINKS, 2, True, id="vulnerable-slow-attacker-fixed-peer-slow-links"
+        ),
+        pytest.param(ATTACK_FIXED_PEER, 2, True, id="attack-fixed-peer"),
     ],
 )
-def test_verdict_reached_once_per_block_and_flag_set(monkeypatch, config, flag_sets):
+def test_verdict_reached_once_per_block_and_flag_set(monkeypatch, config, flag_sets, split):
     """Every node with the same flags shares one verdict per block.
 
     On ``fixed-n21`` each block reaches 20 peers with the same flags. The
-    two mixed-flag runs have one peer that verifies with the hardened
+    three mixed-flag runs have one peer that verifies with the hardened
     flags while the rest run the flawed ones, so a block is verified once
-    under each flag set; in ``attack-fixed-peer`` the two verdicts differ.
-    Every block a node holds must pass its own flags against a snapshot
-    rebuilt from its own store, so no node took a verdict reached under
-    other flags.
+    under each flag set. The two verdicts differ on some blocks (``split``)
+    in all of them but ``vulnerable-slow-attacker-fixed-peer``. Every block
+    a node holds must pass its own flags against a snapshot rebuilt from
+    its own store, so no node took a verdict reached under other flags.
     """
     calls: Counter[tuple[bytes, VerifyFlags]] = Counter()
     verify = cliquesim.simnet.verify_header
@@ -296,6 +331,7 @@ def test_verdict_reached_once_per_block_and_flag_set(monkeypatch, config, flag_s
     sim.run_until(config.duration_ms)
     assert max(calls.values()) == 1, f"{calls.most_common(1)} verdicts for one block and flag set"
     assert len({flags for _, flags in calls}) == flag_sets
+    assert any(verdicts == {True, False} for verdicts in _accepted_by(sim).values()) == split
     for node in sim.nodes:
         for h in iter_hashes(node.store):
             header = node.store.header(h)

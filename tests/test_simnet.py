@@ -196,6 +196,31 @@ def test_broadcast_draws_one_randint_per_peer_in_peer_order():
         assert sim._next_seq == 4
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_peer_lists_hold_every_other_node_in_index_order(n):
+    sim = make_sim(n=n)
+    assert len(sim._peers) == n
+    for i, peers in enumerate(sim._peers):
+        others = [node for node in sim.nodes if node.index != i]
+        assert [deliver.__self__ for deliver in peers] == others
+        assert all(deliver.__func__ is Node.deliver for deliver in peers)
+
+
+def test_broadcast_queues_the_deliver_patched_before_the_build(monkeypatch):
+    """The peer lists bind ``Node.deliver`` once, when the simulation is built."""
+    def patched(self, header):
+        pass
+
+    monkeypatch.setattr(Node, "deliver", patched)
+    sim = make_sim(n=3, delay=(10, 50))
+    sim.broadcast(1, sealed_by(sim, 1, 1, 2))
+    queued = sorted(sim._queue, key=lambda event: event[2])
+    assert [(action.__func__, action.__self__) for _, _, _, action, _ in queued] == [
+        (patched, sim.nodes[0]),
+        (patched, sim.nodes[2]),
+    ]
+
+
 def test_broadcast_single_node_draws_nothing():
     sim = make_sim(n=1, delay=(10, 50))
     state = sim.rng.getstate()

@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cliquesim import BlockHeader, Mempool, make_genesis, tx_batch_schedule
+from cliquesim.workload import _union as union
 
 from conftest import runs_of
 
@@ -161,9 +162,10 @@ def test_canonical_update_partial_overlap():
 
 # -- merged updates --------------------------------------------------------------
 #
-# ``on_canonical_update`` applies each branch as the union of its blocks'
-# runs. These properties compare it with a per-header model, and check that
-# a restore commutes with a later adoption, on random ledgers and branches.
+# ``on_canonical_update`` applies each branch as its blocks' runs in chain
+# order, unsorted, with runs that abut across blocks joined. These
+# properties compare it with a per-header model, and check that a restore
+# commutes with a later adoption, on random ledgers and branches.
 # The example counts come from the hypothesis profile that ``conftest`` loads.
 
 
@@ -179,8 +181,8 @@ def per_header_update(pool, abandoned, adopted):
             pool.pending.remove(start, stop)
 
 
-# A ledger is two lists of (start, length) ranges: the canonical ids, and
-# pending ids, which lose any id the canonical ranges hold.
+# A ledger is two lists of (start, length) ranges: the pending ids, which
+# lose any id the canonical ranges hold, and the canonical ids.
 id_ranges = st.lists(st.tuples(st.integers(0, 50), st.integers(1, 8)), max_size=8)
 ledgers = st.tuples(id_ranges, id_ranges)
 
@@ -225,12 +227,35 @@ def branches(draw):
 @given(ledgers, branches(), branches())
 @example(([(0, 10)], [(10, 5)]), [blk(1, []), blk(2, [])], [blk(1, []), blk(2, []), blk(3, [])])
 @example(([(0, 30)], []), [], [blk(1, [(0, 4)]), blk(2, [(4, 9)]), blk(3, [(9, 12), (14, 15)])])
+# The second block holds ids below the first's, so chain order is not id order.
+@example(([(0, 30)], []), [], [blk(1, [(10, 15)]), blk(2, [(2, 6), (20, 22)])])
+# Runs that abut across blocks, and one that abuts the run after it in id order only.
+@example(([(0, 30)], []), [], [blk(1, [(4, 8), (12, 14)]), blk(2, [(14, 16)]), blk(3, [(8, 12), (16, 17)])])
+# A gap between the adopted blocks, and an abandoned branch they overlap.
+@example(
+    ([(0, 10)], [(10, 10)]),
+    [blk(1, [(10, 14)]), blk(2, [(14, 20)])],
+    [blk(1, [(12, 13)]), blk(2, [(16, 18)]), blk(3, [(3, 5), (18, 19)])],
+)
 def test_merged_canonical_update_matches_per_header_updates(ledger, abandoned, adopted):
     merged, reference = make_ledger(ledger), make_ledger(ledger)
     merged.on_canonical_update(abandoned, adopted)
     per_header_update(reference, abandoned, adopted)
     assert merged.pending.runs() == reference.pending.runs()
     assert merged.canonical.runs() == reference.canonical.runs()
+
+
+def test_a_one_block_branch_is_applied_as_its_own_runs():
+    """A single block's ``tx_runs`` feed the update as they are, with no copy;
+    a longer branch's runs come in chain order, joined where they abut."""
+    header = blk(1, [(3, 5), (7, 9)])
+    assert union([header]) is header.tx_runs
+    assert union([]) == ()
+    assert union([blk(1, [(5, 8)]), blk(2, [(8, 9)]), blk(3, [(1, 3)])]) == [(5, 9), (1, 3)]
+    pool = filled(10)
+    pool.on_canonical_update((), [header])
+    assert pool.canonical.runs() == [(3, 5), (7, 9)]
+    assert pool.pending.runs() == [(0, 3), (5, 7), (9, 10)]
 
 
 @given(ledgers, block_runs(), branches())
