@@ -40,7 +40,7 @@ def main() -> None:
     height = report.totals["canonical_height"]
     print(f"canonical height: {height} blocks, still one per interval")
     print(f"attacker (sealer 2) sealed {attacker.canonical_blocks} of them "
-          f"({100 * attacker.canonical_blocks / height:.1f}%)")
+          f"({100 * report.sealer_share(2):.1f}%)")
     print(f"attacker transactions on chain: {attacker.canonical_txs}")
     print()
     print("honest sealers were shut out:")

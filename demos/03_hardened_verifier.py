@@ -27,7 +27,7 @@ def main() -> None:
 
     attacker = report.per_sealer[2]
     height = report.totals["canonical_height"]
-    share = attacker.canonical_blocks / height
+    share = report.sealer_share(2)
     out_of_turn = attacker.attempts - attacker.leader_attempts
     print(f"canonical height: {height} blocks")
     print(f"attacker share: {attacker.canonical_blocks} blocks ({100 * share:.1f}%), "

@@ -52,7 +52,7 @@ from .harness import (
     run_sweep,
 )
 from .simnet import NonConvergenceError, Simulation, sealer_addresses
-from .strategies import ProposalPlan, SealerPolicy, plan_proposal
+from .strategies import FRONTRUNNER, HONEST, ProposalPlan, SealerPolicy, plan_proposal
 from .workload import Mempool, tx_batch_schedule
 
 __version__ = "0.1.0"
@@ -64,7 +64,9 @@ __all__ = [
     "ChainStore",
     "DuplicateBlockError",
     "FIXED",
+    "FRONTRUNNER",
     "GENESIS_ADDRESS",
+    "HONEST",
     "Mempool",
     "NIL_PARENT",
     "NonConvergenceError",

@@ -21,7 +21,7 @@ from typing import Mapping
 
 from .engine import FIXED, PRESETS, VerifyFlags
 from .simnet import SimResult, Simulation
-from .strategies import SealerPolicy
+from .strategies import HONEST, SealerPolicy
 
 
 class ScenarioError(Exception):
@@ -44,7 +44,7 @@ class ValidationError(ScenarioError):
 class SealerSpec:
     """Per-sealer policy and optional verification override."""
 
-    policy: SealerPolicy = SealerPolicy()
+    policy: SealerPolicy = HONEST
     flags: VerifyFlags | None = None  # None -> scenario-wide flags
 
 
@@ -90,19 +90,15 @@ class ScenarioConfig:
             if forced is not None and forced < 0:
                 raise ValidationError("must be >= 0", f"sealer {index}: forced_difficulty")
 
-    def policies(self) -> list[SealerPolicy]:
-        honest = SealerSpec()
-        return [self.sealer_specs.get(i, honest).policy for i in range(self.n_sealers)]
-
-    def flag_list(self) -> list[VerifyFlags]:
-        out = []
-        for i in range(self.n_sealers):
-            spec = self.sealer_specs.get(i)
-            out.append(spec.flags if spec and spec.flags is not None else self.flags)
-        return out
+    def sealer_settings(self) -> list[tuple[SealerPolicy, VerifyFlags]]:
+        """Each sealer's ``(policy, flags)`` in index order: a sealer with no
+        spec is honest, and one with no flag override uses ``flags``."""
+        default = SealerSpec()
+        specs = [self.sealer_specs.get(i, default) for i in range(self.n_sealers)]
+        return [(spec.policy, self.flags if spec.flags is None else spec.flags) for spec in specs]
 
     def malicious_indices(self) -> list[int]:
-        return [i for i, policy in enumerate(self.policies()) if policy.deviates]
+        return [i for i, (policy, _) in enumerate(self.sealer_settings()) if policy.deviates]
 
     def to_dict(self) -> dict:
         # Built by hand: ``asdict`` cannot deep-copy the read-only specs.
@@ -206,7 +202,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             key = next(iter(deviations))
             raise ParseError(f"{key!r} needs policy = malicious", section[key][1])
         specs[index] = SealerSpec(
-            policy=SealerPolicy.malicious(**deviations) if malicious else SealerPolicy(),
+            policy=SealerPolicy.malicious(**deviations) if malicious else HONEST,
             flags=PRESETS[verify] if verify else None,
         )
 
@@ -272,7 +268,7 @@ def preset_config(name: str) -> ScenarioConfig:
 
 # -- running -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BlockRow:
     number: int
     sealer_addr: str

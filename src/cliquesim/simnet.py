@@ -196,7 +196,7 @@ class Node:
             reason = self.verdicts[block_hash] = None if verdict is None else verdict.value
             if reason is None and block_hash not in snapshots:  # another flag set may have built it
                 tail = parent_snapshot.tail + (header,)
-                snapshots[block_hash] = snapshot_for_chain(len(self.sim.sealers), tail)
+                snapshots[block_hash] = snapshot_for_chain(parent_snapshot.n_sealers, tail)
         if reason is not None:
             self.rejections[header.sealer_index, reason] += 1
             if header.sealer_index == self.index:
@@ -244,9 +244,9 @@ class Node:
 
     def replan(self, head_header: BlockHeader) -> None:
         """Cancel any stale plan and schedule a fresh one on the head, ``head_header``."""
-        sim, head = self.sim, self.head
+        sim = self.sim
         plan = self.pending = strategies.plan_proposal(
-            self.policy, head_header, head, sim.snapshots[head],
+            self.policy, head_header, sim.snapshots[self.head],
             sim.now, sim.config.block_interval_ms, self.index, sim.wiggles,
         )
         if plan.eligible:
@@ -273,7 +273,7 @@ class Node:
             tx_runs=tx_runs,
         )
         self.attempts += 1
-        if self.index == leader_index(plan.height, len(self.sim.sealers)):
+        if self.index == leader_index(plan.height, self.sim.snapshots[plan.parent].n_sealers):
             self.leader_attempts += 1
         self.sim.broadcast(self.index, header)
         self.deliver(header)
@@ -322,10 +322,7 @@ class Simulation:
         # flags -> block hash -> ``RejectReason.value`` of verify_header's
         # verdict under those flags, or None for an accepted block
         self.verdicts: dict[VerifyFlags, dict[bytes, str | None]] = {}
-        self.nodes = [
-            Node(self, i, policy, flags)
-            for i, (policy, flags) in enumerate(zip(config.policies(), config.flag_list()))
-        ]
+        self.nodes = [Node(self, i, *setting) for i, setting in enumerate(config.sealer_settings())]
         delivers = [node.deliver for node in self.nodes]
         self._peers = [delivers[:i] + delivers[i + 1:] for i in range(len(delivers))]
 

@@ -1,19 +1,21 @@
 """Sealer policy: which protocol constraints a sealer drops.
 
-The honest client respects the recently-signed window, claims the
-difficulty the rotation assigns, and holds every block until its
-protocol timestamp (plus a random wiggle when out of turn). The
-frontrunner is the same client with those three local constraints
-removed: it claims a fixed difficulty (2 by default, settable to an
-invalid value such as 9), broadcasts with zero delay, and ignores the
+The honest client (``HONEST``) respects the recently-signed window,
+claims the difficulty the rotation assigns, and holds every block until
+its protocol timestamp (plus a random wiggle when out of turn). The
+frontrunner (``FRONTRUNNER``) is the same client with those three local
+constraints removed: it claims difficulty 2 (settable to an invalid
+value such as 9), broadcasts with zero delay, and ignores the
 recently-signed window. It still chains off whatever head its own fork
-choice reports; it frontruns leadership, not consistency.
+choice reports; it frontruns leadership, not consistency. A new
+deviation is one new field, whose default is honest, and its value in
+``FRONTRUNNER``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .chain import BlockHeader
@@ -31,17 +33,17 @@ class SealerPolicy:
     @property
     def deviates(self) -> bool:
         """Whether any constraint is dropped; reports label such a sealer malicious."""
-        return self.forced_difficulty is not None or self.zero_delay or self.bypass_recents
+        return self != HONEST
 
-    @classmethod
-    def malicious(
-        cls,
-        forced_difficulty: int = 2,
-        zero_delay: bool = True,
-        bypass_recents: bool = True,
-    ) -> "SealerPolicy":
-        """The frontrunner; an argument set to its honest value keeps that constraint."""
-        return cls(forced_difficulty, zero_delay, bypass_recents)
+    @staticmethod
+    def malicious(**kept: object) -> "SealerPolicy":
+        """``FRONTRUNNER`` with each field named in ``kept`` set as given: a field set
+        to its ``HONEST`` value keeps that constraint. Unknown names raise ``TypeError``."""
+        return replace(FRONTRUNNER, **kept)
+
+
+HONEST = SealerPolicy()
+FRONTRUNNER = SealerPolicy(2, True, True)
 
 
 class ProposalPlan(NamedTuple):
@@ -65,7 +67,6 @@ class ProposalPlan(NamedTuple):
 def plan_proposal(
     policy: SealerPolicy,
     parent: BlockHeader,
-    parent_hash: bytes,
     snapshot: SealerSnapshot,
     now_ms: int,
     block_interval_ms: int,
@@ -100,7 +101,7 @@ def plan_proposal(
         fire_at = claim + next(wiggles)
     eligible = policy.bypass_recents or not signed_recently(snapshot, self_index)
     # ``tuple.__new__`` skips the Python-level ``__new__`` a NamedTuple call runs.
-    return tuple.__new__(ProposalPlan, (height, parent_hash, difficulty, claim, fire_at, eligible))
+    return tuple.__new__(ProposalPlan, (height, parent.digest, difficulty, claim, fire_at, eligible))
 
 
 # ``perfbench/tracing.py`` finds the planning layer under this name; the

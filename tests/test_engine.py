@@ -58,7 +58,7 @@ def honest_difficulty(sealer_index, next_number, n_sealers):
     """The difficulty an honest sealer's plan claims for block ``next_number``."""
     parent = header_for(next_number - 1, 0, 1)
     plan = plan_proposal(
-        SealerPolicy(), parent, b"\xaa" * 32, SealerSnapshot(n_sealers),
+        SealerPolicy(), parent, SealerSnapshot(n_sealers),
         parent.sim_time_ms, 5000, sealer_index, wiggle_draws(n_sealers, random.Random(0)),
     )
     return plan.difficulty

@@ -146,8 +146,8 @@ def test_per_sealer_flag_override():
     config = parse_scenario(
         "n_sealers = 5\nverify = fixed\n[sealer 2]\nverify = vulnerable\n"
     )
-    assert config.flag_list()[2] == VULNERABLE
-    assert config.flag_list()[0] == FIXED
+    assert config.sealer_settings()[2][1] == VULNERABLE
+    assert config.sealer_settings()[0][1] == FIXED
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from cliquesim import (
     FIXED,
+    FRONTRUNNER,
+    HONEST,
     BlockHeader,
     ProposalPlan,
     SealerPolicy,
@@ -14,6 +17,7 @@ from cliquesim import (
     VULNERABLE,
     make_genesis,
     plan_proposal,
+    preset_config,
     snapshot_for_chain,
     verify_header,
     wiggle_draws,
@@ -21,7 +25,6 @@ from cliquesim import (
 
 
 INTERVAL_MS = 5000
-PARENT_HASH = b"\xaa" * 32
 
 
 def make_parent(number=0, time_ms=None):
@@ -47,7 +50,6 @@ def plan_on(policy, sealer, rng, parent=None, snapshot=None, now_ms=0):
     return plan_proposal(
         policy,
         parent if parent is not None else make_parent(),
-        PARENT_HASH,
         snapshot,
         now_ms,
         INTERVAL_MS,
@@ -75,7 +77,7 @@ def test_honest_leader_plan():
     assert plan.claim_ms == 5000
     assert plan.eligible is True
     assert plan.height == 1
-    assert plan.parent == PARENT_HASH
+    assert plan.parent == make_parent().digest
 
 
 def test_honest_non_leader_plan_has_wiggle():
@@ -190,7 +192,7 @@ def reference_plan(policy, parent, snapshot, now_ms, sealer, rng, history):
     claim = max(parent.sim_time_ms + INTERVAL_MS, now_ms)
     plan = ProposalPlan(
         height=height,
-        parent=PARENT_HASH,
+        parent=parent.digest,
         difficulty=2 if in_turn else 1,
         claim_ms=claim,
         fire_at_ms=claim,
@@ -281,5 +283,13 @@ def test_plan_matches_reference_plan_on_drawn_cases(case):
 
 def test_deviates_means_any_constraint_dropped():
     assert [policy.deviates for policy in ALL_POLICIES] == [False] + [True] * 15
-    assert SealerPolicy() == ALL_POLICIES[0]
-    assert SealerPolicy.malicious() == SealerPolicy(2, True, True)
+    assert SealerPolicy() == HONEST == ALL_POLICIES[0]
+    assert SealerPolicy.malicious() == FRONTRUNNER == SealerPolicy(2, True, True)
+    # Keeping one constraint restores that field alone, for every field there is.
+    names = [field.name for field in dataclasses.fields(SealerPolicy)]
+    for name in names:
+        kept = SealerPolicy.malicious(**{name: getattr(HONEST, name)})
+        assert [n for n in names if getattr(kept, n) != getattr(FRONTRUNNER, n)] == [name]
+    with pytest.raises(TypeError):
+        SealerPolicy.malicious(bogus=1)
+    assert preset_config("attack").sealer_specs[2].policy == FRONTRUNNER

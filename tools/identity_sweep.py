@@ -41,11 +41,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (*range(1, 10), 21)
 VERIFY_PRESETS = ("fixed", "vulnerable")
-FLAG_KEYS = ("check_recently_signed", "check_difficulty_domain", "check_inturn_identity")
 
 
 def draw_scenario(rng: random.Random) -> str:
-    """The text of one scenario file drawn from ``rng``."""
+    """The text of one scenario file drawn from ``rng``.
+
+    The verifier flag keys and the boolean deviation keys are the fields of
+    ``VerifyFlags`` and ``SealerPolicy``, in field order, so a new flag or
+    deviation is drawn with no edit here.
+    """
+    from dataclasses import fields
+
+    from cliquesim.engine import VerifyFlags
+    from cliquesim.strategies import SealerPolicy
+
+    flag_keys = [f.name for f in fields(VerifyFlags)]
+    switch_keys = [f.name for f in fields(SealerPolicy) if f.type == "bool"]
     n = rng.choice(SIZES)
     delay_max = rng.choice((0, rng.randint(1, 100), rng.randint(100, 4000)))
     delay_min = rng.choice((0, rng.randint(0, delay_max)))
@@ -57,7 +68,7 @@ def draw_scenario(rng: random.Random) -> str:
         f"delay_max_ms = {delay_max}",
         f"tx_rate_per_s = {rng.choice((1, 10, 200))}",
         "verify = custom",
-        *(f"{key} = {str(rng.random() < 0.5).lower()}" for key in FLAG_KEYS),
+        *(f"{key} = {str(rng.random() < 0.5).lower()}" for key in flag_keys),
     ]
     tx_cap = rng.choice((None, 0, rng.randint(1, 20)))
     if tx_cap is not None:
@@ -69,7 +80,7 @@ def draw_scenario(rng: random.Random) -> str:
             section.append("policy = malicious")
             if rng.random() < 0.5:
                 section.append(f"forced_difficulty = {rng.choice((0, 1, 2, 9))}")
-            for key in ("zero_delay", "bypass_recents"):
+            for key in switch_keys:
                 if rng.random() < 0.5:
                     section.append(f"{key} = {str(rng.random() < 0.5).lower()}")
         if rng.random() < 0.2:
