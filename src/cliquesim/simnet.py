@@ -24,10 +24,11 @@ as it runs, so setup and the queue do not grow with the run's duration.
 A batch is queued later than the events it must precede, so its seq
 alone would not put it first; the ``TXS`` rank does.
 
-Network model: full-mesh broadcast among N sealer nodes, each sender's
-peers listed once when the simulation is built, with independent uniform
-per-link delays and no message loss (partial synchrony: everything is
-eventually delivered). Each node keeps its own chain store, mempool and
+Network model: full-mesh broadcast among N sealer nodes, from one list of
+the nodes' ``deliver`` methods bound when the simulation is built (each
+sender skips its own entry), with independent uniform per-link delays
+and no message loss (partial synchrony: everything is eventually
+delivered). Each node keeps its own chain store, mempool and
 head, and owns the run's tallies of what happened at it (its seal attempts,
 the blocks it rejected); reports derive per-sealer counts from the nodes.
 Nodes share only the wire and the run's sealer-snapshot memo and its
@@ -51,10 +52,10 @@ block beat the round leader's freshly sealed one at every peer.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from . import strategies
@@ -202,16 +203,18 @@ class Node:
             if header.sealer_index == self.index:
                 self.mempool.restore(header.tx_runs)
             return
-        self.store.extend(header)
-        new_head = self.store.select_head()
+        store = self.store
+        store.extend(header)
+        new_head = store.select_head()
         if new_head == block_hash and on_head:
             self.head = new_head
             self.lag.append(header)
             self.replan(header)
         elif new_head != self.head:
             self._move_head(new_head)
-        for child in self.orphans.pop(block_hash, ()):
-            self._admit(child)
+        if self.orphans:  # almost always empty: links deliver most blocks after their parent
+            for child in self.orphans.pop(block_hash, ()):
+                self._admit(child)
 
     def _sync_pool(self) -> None:
         """Catch the mempool up to the ids created so far and to the head.
@@ -258,24 +261,25 @@ class Node:
         Does nothing if a newer head has replaced the plan, or if the timer
         fires after sealing stopped at ``t_end``.
         """
-        if plan is not self.pending or self.sim.now > self.sim.t_end:
+        sim = self.sim
+        if plan is not self.pending or sim.now > sim.t_end:
             return
         self.pending = None
         self._sync_pool()
-        tx_runs = self.mempool.pack_block(self.sim.config.tx_cap)
+        tx_runs = self.mempool.pack_block(sim.config.tx_cap)
         header = BlockHeader(
             number=plan.height,
             parent=plan.parent,
             sealer_index=self.index,
-            sealer_addr=self.sim.sealers[self.index],
+            sealer_addr=sim.sealers[self.index],
             difficulty=plan.difficulty,
             sim_time_ms=plan.claim_ms,
             tx_runs=tx_runs,
         )
         self.attempts += 1
-        if self.index == leader_index(plan.height, self.sim.snapshots[plan.parent].n_sealers):
+        if self.index == leader_index(plan.height, sim.snapshots[plan.parent].n_sealers):
             self.leader_attempts += 1
-        self.sim.broadcast(self.index, header)
+        sim.broadcast(self.index, header)
         self.deliver(header)
 
     def counters(self) -> dict[str, int]:
@@ -298,9 +302,10 @@ class Simulation:
 
     Every setting is read from ``config``, which has already checked it.
     ``rng`` is drawn from only through ``link_delays`` and ``wiggles``.
-    ``_peers[i]`` holds the bound ``deliver`` of every node but ``i``, in
-    index order, built with the simulation: a patch of ``Node.deliver``
-    must come before the build."""
+    ``_delivers[i]`` is node ``i``'s bound ``deliver``, bound with the
+    simulation: a patch of ``Node.deliver`` must come before the build.
+    One list of N serves every sender, so the build's memory grows
+    linearly in N."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -323,8 +328,7 @@ class Simulation:
         # verdict under those flags, or None for an accepted block
         self.verdicts: dict[VerifyFlags, dict[bytes, str | None]] = {}
         self.nodes = [Node(self, i, *setting) for i, setting in enumerate(config.sealer_settings())]
-        delivers = [node.deliver for node in self.nodes]
-        self._peers = [delivers[:i] + delivers[i + 1:] for i in range(len(delivers))]
+        self._delivers = [node.deliver for node in self.nodes]
 
     # -- scheduling --------------------------------------------------------
 
@@ -332,20 +336,23 @@ class Simulation:
         """Run ``action(arg)`` at ``at_ms``, after same-time events of lower rank."""
         if at_ms < self.now:
             raise ValueError(f"event scheduled in the past: {at_ms} < {self.now}")
-        heapq.heappush(self._queue, (at_ms, rank, self._next_seq, action, arg))
+        heappush(self._queue, (at_ms, rank, self._next_seq, action, arg))
         self._next_seq += 1
 
     def broadcast(self, from_node: int, header: BlockHeader) -> None:
-        """Schedule one arrival per peer with independent uniform delays.
+        """Schedule one arrival per peer, in index order, with independent uniform delays.
 
         The sender applies the block to itself separately, at the current
         instant. Arrivals skip ``schedule``'s past check: ``ScenarioConfig``
         keeps every delay >= 0.
         """
-        now, queue, seq = self.now, self._queue, self._next_seq
-        for deliver, delay in zip(self._peers[from_node], self.link_delays):  # peers first: no extra draw
-            heapq.heappush(queue, (now + delay, DELIVERY, seq, deliver, header))
-            seq += 1
+        now, queue, seq, delays = self.now, self._queue, self._next_seq, self.link_delays
+        delivers = self._delivers
+        own = delivers[from_node]
+        for deliver in delivers:
+            if deliver is not own:  # the sender's own entry takes no draw
+                heappush(queue, (now + next(delays), DELIVERY, seq, deliver, header))
+                seq += 1
         self._next_seq = seq
 
     def start(self) -> None:
@@ -392,9 +399,9 @@ class Simulation:
         """
         self.t_end = t_end_ms
         drain_end = t_end_ms + 2 * self.config.delay_max_ms
-        queue, heappop = self._queue, heapq.heappop
+        queue, pop = self._queue, heappop
         while queue and queue[0][0] <= drain_end:
-            self.now, _, _, action, arg = heappop(queue)
+            self.now, _, _, action, arg = pop(queue)
             action(arg)
         self._check_agreement()
         return SimResult(

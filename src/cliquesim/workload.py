@@ -25,14 +25,15 @@ def tx_batch_schedule(rate_per_s: int, t_end_ms: int) -> Iterator[tuple[int, ran
     gossip is abstracted away. Batch ``k`` (at ``k * 1000`` ms) holds the
     ids ``(k - 1) * rate_per_s`` up to ``k * rate_per_s``, exclusive. The
     batches are made lazily, one per ``next``, in ascending time; a rate
-    that is not positive raises at the call, not at the first batch.
+    that is not positive raises at the call, not at the first batch. The
+    stream is a ``zip`` of C-level ranges, so drawing a batch runs no
+    Python frame: batch ``k``'s ids run between bounds ``k - 1`` and ``k``.
     """
     if rate_per_s <= 0:
         raise ValueError("tx rate must be positive")
-    return (
-        (second * 1000, range((second - 1) * rate_per_s, second * rate_per_s))
-        for second in range(1, t_end_ms // 1000 + 1)
-    )
+    seconds = t_end_ms // 1000
+    bounds = range(0, (seconds + 1) * rate_per_s, rate_per_s)
+    return zip(range(1000, (seconds + 1) * 1000, 1000), map(range, bounds, bounds[1:]))
 
 
 class IdRanges:
@@ -63,8 +64,8 @@ class IdRanges:
 
     def runs(self) -> list[tuple[int, int]]:
         """The ranges, as ``(start, stop)`` pairs in ascending order."""
-        bounds = self._bounds
-        return list(zip(bounds[::2], bounds[1::2]))
+        pairs = iter(self._bounds)
+        return list(zip(pairs, pairs))
 
     def add(self, start: int, stop: int) -> None:
         """Add the ids ``start`` up to ``stop``, exclusive."""
@@ -95,8 +96,8 @@ class IdRanges:
         bounds = self._bounds
         i = bisect_right(bounds, start)
         j = bisect_left(bounds, stop, i)
-        cut = [start][: i & 1] + bounds[i:j] + [stop][: j & 1]
-        return list(zip(cut[::2], cut[1::2]))
+        pairs = iter([start][: i & 1] + bounds[i:j] + [stop][: j & 1])
+        return list(zip(pairs, pairs))
 
     def take(self, cap: int | None = None) -> tuple[tuple[int, int], ...]:
         """Remove the ``cap`` smallest ids (all of them if ``cap`` is None) and return them as ranges."""
@@ -113,7 +114,8 @@ class IdRanges:
         if left and bounds:
             taken += (bounds[0], bounds[0] + left)
             bounds[0] += left
-        return tuple(zip(taken[::2], taken[1::2]))
+        pairs = iter(taken)
+        return tuple(zip(pairs, pairs))
 
 
 @dataclass
@@ -182,13 +184,18 @@ class Mempool:
         from one set and adds them to the other, and a set has one bound list,
         so its blocks' runs may come in any order and overlap: a run of
         blocks that pack consecutive ids costs one update, not one per block.
+        An empty abandoned branch, as in every catch-up to the head, costs nothing.
         """
-        for start, stop in _union(abandoned):
-            self.canonical.remove(start, stop)
-            self.pending.add(start, stop)
+        canonical, pending = self.canonical, self.pending
+        if abandoned:
+            unadopt, repend = canonical.remove, pending.add
+            for start, stop in _union(abandoned):
+                unadopt(start, stop)
+                repend(start, stop)
+        adopt, unpend = canonical.add, pending.remove
         for start, stop in _union(adopted):
-            self.canonical.add(start, stop)
-            self.pending.remove(start, stop)
+            adopt(start, stop)
+            unpend(start, stop)
 
 
 def _union(headers: Sequence[BlockHeader]) -> Sequence[tuple[int, int]]:

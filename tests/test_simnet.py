@@ -1,5 +1,6 @@
 import heapq
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -197,17 +198,36 @@ def test_broadcast_draws_one_randint_per_peer_in_peer_order():
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
-def test_peer_lists_hold_every_other_node_in_index_order(n):
-    sim = make_sim(n=n)
-    assert len(sim._peers) == n
-    for i, peers in enumerate(sim._peers):
-        others = [node for node in sim.nodes if node.index != i]
-        assert [deliver.__self__ for deliver in peers] == others
-        assert all(deliver.__func__ is Node.deliver for deliver in peers)
+def test_broadcast_queues_every_other_node_in_index_order(n):
+    for sender in range(n):
+        sim = make_sim(n=n, delay=(10, 50))
+        sim.broadcast(sender, sealed_by(sim, 1, sender, 2))
+        queued = sorted(sim._queue, key=lambda event: event[2])  # in push order
+        others = [node for node in sim.nodes if node.index != sender]
+        assert [action.__self__ for _, _, _, action, _ in queued] == others
+        assert all(action.__func__ is Node.deliver for _, _, _, action, _ in queued)
+
+
+def test_build_memory_per_sealer_does_not_grow_with_the_committee():
+    """Every sender broadcasts from one list of N bound ``deliver``s, so a
+    build holds no per-sender peer list and costs about the same per sealer
+    at N = 400 as at N = 100 (N - 1 peers per sender would make it grow)."""
+    per_sealer = []
+    for n in (100, 400):
+        config = ScenarioConfig(n_sealers=n, duration_ms=0)
+        Simulation(config)  # first build of this size: lazy imports and caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sim = Simulation(config)
+            per_sealer.append((tracemalloc.get_traced_memory()[0] - before) / n)
+        finally:
+            tracemalloc.stop()
+    assert per_sealer[1] <= 1.25 * per_sealer[0], per_sealer
 
 
 def test_broadcast_queues_the_deliver_patched_before_the_build(monkeypatch):
-    """The peer lists bind ``Node.deliver`` once, when the simulation is built."""
+    """The broadcast list binds ``Node.deliver`` once, when the simulation is built."""
     def patched(self, header):
         pass
 

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import example, given
@@ -56,6 +57,24 @@ def test_stream_ids_unique_and_monotone():
     batches = tx_batch_schedule(7, 9000)
     ids = [tx for _, txs in batches for tx in txs]
     assert ids == sorted(ids) and len(set(ids)) == len(ids)
+
+
+@given(st.integers(1, 5000), st.integers(0, 10**7))
+@example(1, 999)
+@example(5000, 10**7)
+@example(7, 1999)
+def test_stream_matches_its_formula(rate, t_end_ms):
+    """Batch k, at k·1000 ms, holds ids (k−1)·rate up to k·rate, for every whole second up to the end."""
+    assert list(tx_batch_schedule(rate, t_end_ms)) == [
+        (k * 1000, range((k - 1) * rate, k * rate)) for k in range(1, t_end_ms // 1000 + 1)
+    ]
+
+
+@given(st.integers(1, 5000), st.integers(1, 20_000))
+def test_stream_batch_deep_into_an_endless_run(rate, k):
+    """Batch k of a 10^15 ms stream, read through ``islice``; a stream built eagerly would not fit in memory."""
+    batch = next(islice(tx_batch_schedule(rate, 10**15), k - 1, None))
+    assert batch == (k * 1000, range((k - 1) * rate, k * rate))
 
 
 def test_stream_rejects_zero_rate():
