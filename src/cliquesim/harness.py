@@ -309,9 +309,7 @@ class RunReport:
 
 def build_simulation(config: ScenarioConfig) -> Simulation:
     """Construct a ready-to-run simulation: nodes, tx stream, plans."""
-    sim = Simulation(config)
-    sim.start()
-    return sim
+    return Simulation(config)
 
 
 def assemble_report(config: ScenarioConfig, result: SimResult) -> RunReport:

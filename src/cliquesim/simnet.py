@@ -18,9 +18,11 @@ block) runs before every ``SEAL`` timer, so a node always sees everything
 the network has already handed it before it signs, and a round leader
 whose slot was frontrun cancels instead of racing its own stale plan.
 
-The queue holds only live events: block arrivals, buffered releases, seal
-timers and the next tx batch. Each batch draws and queues the next one
-as it runs, so setup and the queue do not grow with the run's duration.
+Building a ``Simulation`` queues the first tx batch and every node's
+first plan, so it is ready to run. The queue holds only live events:
+block arrivals, buffered releases, seal timers and the next tx batch.
+Each batch draws and queues the next one as it runs, so setup and the
+queue do not grow with the run's duration.
 A batch is queued later than the events it must precede, so its seq
 alone would not put it first; the ``TXS`` rank does.
 
@@ -56,14 +58,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 from . import strategies
 from .chain import GENESIS, BlockHeader, ChainStore
 from .engine import (
     SealerSnapshot,
     VerifyFlags,
-    leader_index,
     snapshot_for_chain,
     uniform_draws,
     verify_header,
@@ -178,7 +179,7 @@ class Node:
         The first verdict that accepts a block builds its entry in the run's
         snapshot memo (``Simulation.snapshots``) from the parent's entry and
         the header, so every stored block has one. A one-block extension of
-        the head joins ``lag``.
+        the head joins ``lag``; the mempool follows any other head move at once.
         """
         if header.sim_time_ms > self.sim.now:
             self.sim.schedule(header.sim_time_ms, DELIVERY, self._admit, header)
@@ -206,12 +207,22 @@ class Node:
         store = self.store
         store.extend(header)
         new_head = store.select_head()
-        if new_head == block_hash and on_head:
+        if new_head != self.head:
+            if new_head == block_hash and on_head:
+                tip = header
+                self.lag.append(header)
+            else:
+                # The mempool first catches up to the old head, then follows
+                # the move: a block adopted and then abandoned must hand its
+                # ids back to pending, which one net diff from the mempool's
+                # head to ``new_head`` would skip. ``reorg`` returns
+                # ``new_head``, a tip and so no ancestor of the old head, last.
+                self._sync_pool()
+                abandoned, adopted = store.reorg(self.head, new_head)
+                self.mempool.on_canonical_update(abandoned, adopted)
+                tip = adopted[-1]
             self.head = new_head
-            self.lag.append(header)
-            self.replan(header)
-        elif new_head != self.head:
-            self._move_head(new_head)
+            self.replan(tip)
         if self.orphans:  # almost always empty: links deliver most blocks after their parent
             for child in self.orphans.pop(block_hash, ()):
                 self._admit(child)
@@ -227,21 +238,6 @@ class Node:
         if self.lag:
             self.mempool.on_canonical_update((), self.lag)
             self.lag.clear()
-
-    def _move_head(self, new_head: bytes) -> None:
-        """Move the head anywhere but to a one-block extension of it.
-
-        The mempool first catches up to the old head, then follows the
-        move. The two updates stay apart: a block adopted and then
-        abandoned must hand its ids back to pending, which one net diff
-        from the mempool's head to ``new_head`` would skip. ``reorg``
-        returns ``new_head``, a tip and so no ancestor of the old head, last.
-        """
-        self._sync_pool()
-        abandoned, adopted = self.store.reorg(self.head, new_head)
-        self.head = new_head
-        self.mempool.on_canonical_update(abandoned, adopted)
-        self.replan(adopted[-1])
 
     # -- proposing ---------------------------------------------------------
 
@@ -277,8 +273,7 @@ class Node:
             tx_runs=tx_runs,
         )
         self.attempts += 1
-        if self.index == leader_index(plan.height, sim.snapshots[plan.parent].n_sealers):
-            self.leader_attempts += 1
+        self.leader_attempts += plan.in_turn
         sim.broadcast(self.index, header)
         self.deliver(header)
 
@@ -301,6 +296,11 @@ class Simulation:
     """One isolated run: nodes, queue, generator. Strictly single-threaded.
 
     Every setting is read from ``config``, which has already checked it.
+    Construction ends by queueing the config's first tx batch, then every
+    node's first plan on genesis in index order, so a built simulation is
+    ready for ``run_until``. Each batch queues the next when it runs and
+    only counts its ids into ``txs_generated``; a node adds the ids below
+    that count to its mempool when it next uses it (``Mempool.catch_up``).
     ``rng`` is drawn from only through ``link_delays`` and ``wiggles``.
     ``_delivers[i]`` is node ``i``'s bound ``deliver``, bound with the
     simulation: a patch of ``Node.deliver`` must come before the build.
@@ -317,8 +317,6 @@ class Simulation:
         self.t_end = 0
         self._queue: list[tuple[int, int, int, Callable[[Any], None], Any]] = []
         self._next_seq = 0
-        self._tx_batches: Iterator[tuple[int, range]] = iter(())
-        self._started = False
         self.txs_generated = 0
         # block hash -> snapshot at it; genesis's entry is the root the others are built from
         self.snapshots: dict[bytes, SealerSnapshot] = {
@@ -329,6 +327,10 @@ class Simulation:
         self.verdicts: dict[VerifyFlags, dict[bytes, str | None]] = {}
         self.nodes = [Node(self, i, *setting) for i, setting in enumerate(config.sealer_settings())]
         self._delivers = [node.deliver for node in self.nodes]
+        self._tx_batches = tx_batch_schedule(config.tx_rate_per_s, config.duration_ms)
+        self._queue_next_batch()
+        for node in self.nodes:
+            node.replan(GENESIS)
 
     # -- scheduling --------------------------------------------------------
 
@@ -354,29 +356,6 @@ class Simulation:
                 heappush(queue, (now + next(delays), DELIVERY, seq, deliver, header))
                 seq += 1
         self._next_seq = seq
-
-    def start(self) -> None:
-        """Queue the config's tx stream and install the first proposal plans.
-
-        Genesis is already everyone's head. Only the stream's first batch is
-        queued here; each batch queues the next when it runs, so the queue
-        holds one batch however long the run. A batch only counts its ids
-        into ``txs_generated``. Each node adds the ids below that count to
-        its mempool when it next uses it (``Mempool.catch_up``), so no batch
-        touches a mempool. Call it once, before ``run_until``.
-
-        Raises ``ValueError`` on a second call: a second stream would hand
-        out the ids from 0 again, drawn from the one iterator both chains
-        of batches share.
-        """
-        if self._started:
-            raise ValueError("a tx batch stream is already running")
-        self._started = True
-        config = self.config
-        self._tx_batches = tx_batch_schedule(config.tx_rate_per_s, config.duration_ms)
-        self._queue_next_batch()
-        for node in self.nodes:
-            node.replan(GENESIS)
 
     def _add_txs(self, txs: range) -> None:
         self.txs_generated += len(txs)

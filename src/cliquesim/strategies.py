@@ -53,7 +53,8 @@ class ProposalPlan(NamedTuple):
     ``fire_at_ms`` is when the sealer actually signs and broadcasts. An
     honest sealer never fires before the claim; the zero-delay attacker
     fires immediately and lets the network sit on the block until its
-    claim time.
+    claim time. ``in_turn`` says whether the sealer leads the round at
+    ``height``.
     """
 
     height: int
@@ -62,6 +63,7 @@ class ProposalPlan(NamedTuple):
     claim_ms: int
     fire_at_ms: int
     eligible: bool
+    in_turn: bool
 
 
 def plan_proposal(
@@ -101,7 +103,9 @@ def plan_proposal(
         fire_at = claim + next(wiggles)
     eligible = policy.bypass_recents or not signed_recently(snapshot, self_index)
     # ``tuple.__new__`` skips the Python-level ``__new__`` a NamedTuple call runs.
-    return tuple.__new__(ProposalPlan, (height, parent.digest, difficulty, claim, fire_at, eligible))
+    return tuple.__new__(
+        ProposalPlan, (height, parent.digest, difficulty, claim, fire_at, eligible, in_turn)
+    )
 
 
 # ``perfbench/tracing.py`` finds the planning layer under this name; the

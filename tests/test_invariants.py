@@ -400,8 +400,8 @@ def test_tx_batches_touch_no_mempool(monkeypatch):
 
     On ``fixed`` at N = 21 a batch that went to every mempool would cost
     21 ``Mempool.add`` calls. Here ``_add_txs`` makes no mempool call at
-    all, and a node's adds are bounded by the calls that use its mempool:
-    its head moves other than one-block extensions and its seal timers.
+    all, and a node's adds are bounded by its catch-ups (``_sync_pool``),
+    which its seals and its head moves other than one-block extensions run.
     """
     config = FIXED_N21
     calls: Counter[tuple[int, str]] = Counter()  # (id of node or mempool, method) -> calls
@@ -425,8 +425,7 @@ def test_tx_batches_touch_no_mempool(monkeypatch):
 
     for owner, name in (
         (Simulation, "_add_txs"),
-        (Node, "_move_head"),
-        (Node, "seal"),
+        (Node, "_sync_pool"),
         (Mempool, "add"),
         (Mempool, "pack_block"),
         (Mempool, "restore"),
@@ -439,7 +438,7 @@ def test_tx_batches_touch_no_mempool(monkeypatch):
     assert mempool_calls_in_batches == 0, "a tx batch called a mempool method"
     for node in sim.nodes:
         pool = id(node.mempool)
-        catch_ups = calls[id(node), "_move_head"] + calls[id(node), "seal"]
+        catch_ups = calls[id(node), "_sync_pool"]
         assert calls[pool, "add"] <= catch_ups, f"node {node.index}: {calls[pool, 'add']} adds, {catch_ups} catch-ups"
 
 

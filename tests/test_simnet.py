@@ -7,6 +7,7 @@ import pytest
 
 from cliquesim import (
     FIXED,
+    FRONTRUNNER,
     BlockHeader,
     ChainStore,
     NonConvergenceError,
@@ -16,6 +17,7 @@ from cliquesim import (
     parse_scenario,
     run_scenario,
     ScenarioConfig,
+    SealerSpec,
 )
 from cliquesim import simnet
 from cliquesim.simnet import DELIVERY, SEAL, TXS, Node
@@ -24,7 +26,8 @@ from conftest import in_flight, ledger_at_head, short_preset
 
 
 def make_sim(n=5, flags=FIXED, delay=(0, 0), seed=0, sealer_specs=None):
-    """A bare simulation: no tx stream, and no plans until ``start``."""
+    """A built simulation: the default tx stream's first batch and every node's
+    first plan are already queued."""
     config = ScenarioConfig(
         n_sealers=n,
         block_interval_ms=5000,
@@ -35,6 +38,12 @@ def make_sim(n=5, flags=FIXED, delay=(0, 0), seed=0, sealer_specs=None):
         sealer_specs=sealer_specs or {},
     )
     return Simulation(config)
+
+
+def queued_since(sim, first_seq):
+    """The queued entries with ``seq`` at or past ``first_seq``, in push order:
+    the ones added after ``_next_seq`` read ``first_seq``."""
+    return sorted((event for event in sim._queue if event[2] >= first_seq), key=lambda event: event[2])
 
 
 def sealed_by(sim, number, sealer_index, difficulty, parent=None, time_ms=None):
@@ -86,12 +95,49 @@ def test_deliveries_pop_before_seal_timers_at_equal_time():
 
 def test_run_stops_after_the_events_due_at_drain_end():
     sim = make_sim(delay=(0, 10))
+    first = sim._next_seq
     drain_end = 1000 + 2 * 10
-    sim.schedule(drain_end + 1, DELIVERY, sim._add_txs, range(5))
-    sim.schedule(drain_end, SEAL, sim._add_txs, range(3))  # the last rank still runs
+    ran = []
+    sim.schedule(drain_end + 1, DELIVERY, ran.append, "late")
+    sim.schedule(drain_end, SEAL, ran.append, "last rank")  # the last rank still runs
     sim.run_until(1000)
-    assert sim.txs_generated == 3
-    assert [at for at, *_ in sim._queue] == [drain_end + 1]
+    assert ran == ["last rank"]
+    assert sim.txs_generated == 10  # the stream's batch at 1000 ms ran
+    # Left queued: the entry past drain end, and the batch the first one queued.
+    assert [(at, arg) for at, _, _, _, arg in queued_since(sim, first)] == [
+        (drain_end + 1, "late"),
+        (2000, range(10, 20)),
+    ]
+
+
+# -- construction ---------------------------------------------------------------
+
+def queued_entries(sim):
+    """The queue in push order, each action as its function and its node's
+    index (None for the simulation), so two builds' queues compare equal."""
+    return [
+        (at, rank, seq, action.__func__, getattr(action.__self__, "index", None), arg)
+        for at, rank, seq, action, arg in queued_since(sim, 0)
+    ]
+
+
+def test_a_built_simulation_holds_its_first_batch_and_every_first_plan():
+    """Construction queues the first tx batch, then each eligible node's first
+    seal timer in index order, exactly as ``build_simulation`` does."""
+    config = ScenarioConfig(
+        n_sealers=5, duration_ms=60_000, tx_rate_per_s=3, seed=4,
+        sealer_specs={2: SealerSpec(policy=FRONTRUNNER)},
+    )
+    sim = Simulation(config)
+    plans = [node.pending for node in sim.nodes]
+    assert all(plan is not None and plan.eligible for plan in plans)
+    assert queued_entries(sim) == [(1000, TXS, 0, Simulation._add_txs, None, range(3))] + [
+        (plan.fire_at_ms, SEAL, 1 + i, Node.seal, i, plan) for i, plan in enumerate(plans)
+    ]
+    built = build_simulation(config)
+    assert queued_entries(built) == queued_entries(sim)
+    assert built.rng.getstate() == sim.rng.getstate()
+    assert built._next_seq == sim._next_seq == 1 + config.n_sealers
 
 
 # -- tx batches ----------------------------------------------------------------
@@ -101,25 +147,10 @@ def test_tx_batches_come_from_the_config_and_queue_one_at_a_time():
         n_sealers=5, duration_ms=3000, tx_rate_per_s=2, delay_min_ms=0, delay_max_ms=0
     )
     sim = Simulation(config)
-    sim.start()
     assert [at for at, rank, *_ in sim._queue if rank == TXS] == [1000]
     sim.run_until(2000)
     assert sim.txs_generated == 4
     assert [at for at, rank, *_ in sim._queue if rank == TXS] == [3000]
-
-
-def test_second_tx_stream_while_one_runs_is_an_error():
-    """Two streams would each hand out ids from 0, so a second start is refused."""
-    config = ScenarioConfig(
-        n_sealers=5, duration_ms=10000, tx_rate_per_s=2, delay_min_ms=0, delay_max_ms=0
-    )
-    sim = Simulation(config)
-    sim.start()
-    with pytest.raises(ValueError, match="already running"):
-        sim.start()
-    assert [at for at, rank, *_ in sim._queue if rank == TXS] == [1000]
-    sim.run_until(10000)
-    assert sim.txs_generated == 20
 
 
 def test_tx_batch_due_before_the_one_that_queues_it_is_an_error(monkeypatch):
@@ -127,7 +158,6 @@ def test_tx_batch_due_before_the_one_that_queues_it_is_an_error(monkeypatch):
     descending = [(1000, range(2)), (500, range(2, 4))]
     monkeypatch.setattr(simnet, "tx_batch_schedule", lambda rate, duration: iter(descending))
     sim = make_sim()
-    sim.start()
     with pytest.raises(ValueError, match="scheduled in the past"):
         sim.run_until(2000)
 
@@ -169,8 +199,9 @@ def test_peak_queue_length_does_not_grow_with_duration(monkeypatch):
 def test_broadcast_degenerate_delays_hit_every_peer_now():
     sim = make_sim(delay=(0, 0))
     sim.now = 100
+    first = sim._next_seq
     sim.broadcast(2, sealed_by(sim, 1, 2, 2))
-    events = sorted(sim._queue)
+    events = queued_since(sim, first)
     assert len(events) == 4
     assert all(at == 100 for at, _, _, _, _ in events)
     assert [action for _, _, _, action, _ in events] == [sim.nodes[i].deliver for i in (0, 1, 3, 4)]
@@ -178,8 +209,9 @@ def test_broadcast_degenerate_delays_hit_every_peer_now():
 
 def test_broadcast_single_node_sends_nothing():
     sim = make_sim(n=1)
+    first = sim._next_seq
     sim.broadcast(0, sealed_by(sim, 1, 0, 2))
-    assert sim._queue == []
+    assert queued_since(sim, first) == []
 
 
 def test_broadcast_draws_one_randint_per_peer_in_peer_order():
@@ -187,22 +219,25 @@ def test_broadcast_draws_one_randint_per_peer_in_peer_order():
     for sender in range(5):
         sim = make_sim(delay=(low, high), seed=seed)
         sim.now = 1000
+        first = sim._next_seq
+        reference = random.Random()
+        reference.setstate(sim.rng.getstate())  # the build drew the first wiggles
         sim.broadcast(sender, sealed_by(sim, 1, sender, 2))
-        reference = random.Random(seed)
         expected = [(1000 + reference.randint(low, high), sim.nodes[i].deliver)
                     for i in range(5) if i != sender]
-        queued = sorted(sim._queue, key=lambda event: event[2])  # in push order
+        queued = queued_since(sim, first)
         assert [(at, action) for at, _, _, action, _ in queued] == expected
         assert sim.rng.getstate() == reference.getstate()
-        assert sim._next_seq == 4
+        assert sim._next_seq == first + 4
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_broadcast_queues_every_other_node_in_index_order(n):
     for sender in range(n):
         sim = make_sim(n=n, delay=(10, 50))
+        first = sim._next_seq
         sim.broadcast(sender, sealed_by(sim, 1, sender, 2))
-        queued = sorted(sim._queue, key=lambda event: event[2])  # in push order
+        queued = queued_since(sim, first)
         others = [node for node in sim.nodes if node.index != sender]
         assert [action.__self__ for _, _, _, action, _ in queued] == others
         assert all(action.__func__ is Node.deliver for _, _, _, action, _ in queued)
@@ -233,8 +268,9 @@ def test_broadcast_queues_the_deliver_patched_before_the_build(monkeypatch):
 
     monkeypatch.setattr(Node, "deliver", patched)
     sim = make_sim(n=3, delay=(10, 50))
+    first = sim._next_seq
     sim.broadcast(1, sealed_by(sim, 1, 1, 2))
-    queued = sorted(sim._queue, key=lambda event: event[2])
+    queued = queued_since(sim, first)
     assert [(action.__func__, action.__self__) for _, _, _, action, _ in queued] == [
         (patched, sim.nodes[0]),
         (patched, sim.nodes[2]),
@@ -251,9 +287,10 @@ def test_broadcast_single_node_draws_nothing():
 def test_broadcast_delays_stay_in_bounds():
     sim = make_sim(delay=(10, 50), seed=9)
     sim.now = 1000
+    first = sim._next_seq
     for _ in range(100):
         sim.broadcast(0, sealed_by(sim, 1, 1, 2))
-    delays = [at - 1000 for at, _, _, _, _ in sim._queue]
+    delays = [at - 1000 for at, _, _, _, _ in queued_since(sim, first)]
     assert all(10 <= d <= 50 for d in delays)
     assert min(delays) <= 15 and max(delays) >= 45
 
@@ -357,7 +394,6 @@ def test_future_claimed_block_waits_for_its_timestamp():
 
 def test_seal_timer_of_a_replaced_plan_seals_nothing():
     sim = make_sim()
-    sim.start()
     node = sim.nodes[0]
     stale = node.pending
     sim.now = sim.t_end = 5000
@@ -372,7 +408,6 @@ def test_seal_timer_of_a_replaced_plan_seals_nothing():
 
 def test_seal_timer_after_t_end_seals_nothing():
     sim = make_sim()
-    sim.start()
     node = sim.nodes[1]  # the leader for height 1
     plan = node.pending
     sim.now = plan.fire_at_ms
@@ -385,7 +420,6 @@ def test_seal_timer_after_t_end_seals_nothing():
 
 def test_seal_timer_at_t_end_seals():
     sim = make_sim()
-    sim.start()
     node = sim.nodes[1]
     plan = node.pending
     sim.now = sim.t_end = plan.fire_at_ms
@@ -397,7 +431,6 @@ def test_seal_timer_at_t_end_seals():
 def test_zero_delay_run_imports_the_block_sealed_at_t_end():
     """With no link delay the drain window is empty; its closing instant still runs."""
     sim = make_sim(delay=(0, 0))
-    sim.start()
     sim.run_until(5000)  # the height-1 leader fires at exactly 5000
     assert sim.nodes[1].attempts == 1
     for node in sim.nodes:

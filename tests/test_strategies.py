@@ -200,6 +200,7 @@ def reference_plan(policy, parent, snapshot, now_ms, sealer, rng, history):
             signer == sealer and height - window < number < height
             for number, signer in history
         ),
+        in_turn=in_turn,
     )
     if policy.forced_difficulty is not None:
         plan = plan._replace(difficulty=policy.forced_difficulty)
