@@ -118,9 +118,11 @@ class Node:
     up: such an extension moves only ``head`` and appends its header, and
     the mempool adopts the whole list only when it is next read or moved
     (a pack or any other head move). Adopting a run of extensions one by
-    one or all at once leaves the same sets, so the delay changes nothing.
-    The restore of a rejected own block does not catch up first: it
-    commutes with the later adoption (``Mempool.restore``).
+    one or all at once leaves the same pending set, so the delay changes
+    nothing. The restore of a rejected own block does not catch up first:
+    it drops the ids the chain gained since the block's parent, read off
+    the store (``Mempool.restore``), so the mempool's pending set holds no
+    id on the chain it follows.
     """
 
     def __init__(
@@ -202,7 +204,7 @@ class Node:
         if reason is not None:
             self.rejections[header.sealer_index, reason] += 1
             if header.sealer_index == self.index:
-                self.mempool.restore(header.tx_runs)
+                self.mempool.restore(header.tx_runs, self.store.reorg(header.parent, self.head)[1])
             return
         store = self.store
         store.extend(header)

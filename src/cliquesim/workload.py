@@ -89,16 +89,6 @@ class IdRanges:
         j = bisect_right(bounds, stop, i)
         bounds[i:j] = (start, stop)[1 - (i & 1) : 1 + (j & 1)]
 
-    def overlap(self, start: int, stop: int) -> list[tuple[int, int]]:
-        """The parts of ``[start, stop)`` in this set, as ranges in ascending order."""
-        if start >= stop:
-            return []
-        bounds = self._bounds
-        i = bisect_right(bounds, start)
-        j = bisect_left(bounds, stop, i)
-        pairs = iter([start][: i & 1] + bounds[i:j] + [stop][: j & 1])
-        return list(zip(pairs, pairs))
-
     def take(self, cap: int | None = None) -> tuple[tuple[int, int], ...]:
         """Remove the ``cap`` smallest ids (all of them if ``cap`` is None) and return them as ranges."""
         if cap is not None and cap < 0:
@@ -120,25 +110,25 @@ class IdRanges:
 
 @dataclass
 class Mempool:
-    """One node's tx ledger: ids on its canonical chain, and pending ids FIFO by id.
+    """One node's pending tx ids, FIFO by id, and the frontier of ids it has added.
 
     Id order is creation order, because ``tx_batch_schedule`` assigns ids
-    in time order. Both sets are ``IdRanges`` and they are disjoint: an id
-    joins ``pending`` only when it is not canonical, so a pack never has to
-    skip one. Ids packed into an own block not yet admitted are in neither.
+    in time order. ``pending`` holds no id on the chain the mempool
+    follows, so a pack never has to skip one; the chain itself is the
+    only record of which ids are canonical, and every move of it comes
+    in as the branches it abandons and adopts. Ids packed into an own
+    block not yet admitted are not pending either.
 
     New ids arrive lazily: ids below ``frontier`` have been added, and
     ``catch_up`` adds the rest of those created so far in one range. The
     owner catches up just before every pack and canonical update, so each
-    of them sees the same sets as if every batch had been added when it
+    of them sees the same set as if every batch had been added when it
     was created. A restore needs no catch-up: it hands back ids of an own
     pack, all below the frontier, so it and a later catch-up touch
-    disjoint ids. Nor does it need the owner's canonical set to be up to
-    date, because it commutes with a later adoption (``restore``).
+    disjoint ids.
     """
 
     pending: IdRanges = field(default_factory=IdRanges)
-    canonical: IdRanges = field(default_factory=IdRanges)
     frontier: int = 0
 
     def add(self, txs: range) -> None:
@@ -159,43 +149,42 @@ class Mempool:
         """
         return self.pending.take(cap)
 
-    def restore(self, tx_runs: tuple[tuple[int, int], ...]) -> None:
-        """Return the id runs of an own block that never took effect, except ids canonical by now.
+    def restore(self, tx_runs: tuple[tuple[int, int], ...], adopted: Sequence[BlockHeader]) -> None:
+        """Return the id runs of an own block that never took effect, except ids of ``adopted``.
 
-        A restore and a later ``on_canonical_update`` that adopts blocks
-        commute: an id the update adopts ends canonical and not pending
-        either way. So an owner whose canonical set lags its head may
-        restore before it adopts the lag.
+        ``adopted`` is the branch the chain gained since the block's parent
+        (``ChainStore.reorg`` from that parent to the head). The owner packs
+        only once its mempool follows the plan's parent, so none of the
+        block's ids was on the chain there, and those on it now are exactly
+        the ones ``adopted`` holds. ``adopted`` may end in blocks of the
+        owner's ``lag``, which the mempool has not followed yet, and only
+        those can hold ids at or past ``frontier``. Dropping their ids early
+        is harmless: the owner's next catch-up and lag adoption drop them again.
         """
+        pending = self.pending
         for start, stop in tx_runs:
-            for canonical_start, canonical_stop in self.canonical.overlap(start, stop):
-                self.pending.add(start, canonical_start)
-                start = canonical_stop
-            self.pending.add(start, stop)
+            pending.add(start, stop)
+        for start, stop in _union(adopted):
+            pending.remove(start, stop)
 
     def on_canonical_update(
         self, abandoned: Sequence[BlockHeader], adopted: Sequence[BlockHeader]
     ) -> None:
-        """Move txs of abandoned blocks back to pending and txs of adopted blocks to canonical.
+        """Move txs of abandoned blocks back to pending and drop txs of adopted blocks from it.
 
         ``abandoned`` and ``adopted`` are the two branches a head move
         leaves and joins, past their common ancestor (``ChainStore.reorg``).
-        A tx in both branches ends canonical. A branch only removes ids
-        from one set and adds them to the other, and a set has one bound list,
-        so its blocks' runs may come in any order and overlap: a run of
-        blocks that pack consecutive ids costs one update, not one per block.
-        An empty abandoned branch, as in every catch-up to the head, costs nothing.
+        A tx in both branches ends up not pending. A branch only adds ids to
+        or removes them from one bound list, so its blocks' runs may come
+        in any order and overlap: a run of blocks that pack consecutive ids
+        costs one op, not one per block. An empty abandoned branch, as in
+        every catch-up to the head, costs nothing.
         """
-        canonical, pending = self.canonical, self.pending
-        if abandoned:
-            unadopt, repend = canonical.remove, pending.add
-            for start, stop in _union(abandoned):
-                unadopt(start, stop)
-                repend(start, stop)
-        adopt, unpend = canonical.add, pending.remove
+        pending = self.pending
+        for start, stop in _union(abandoned):
+            pending.add(start, stop)
         for start, stop in _union(adopted):
-            adopt(start, stop)
-            unpend(start, stop)
+            pending.remove(start, stop)
 
 
 def _union(headers: Sequence[BlockHeader]) -> Sequence[tuple[int, int]]:

@@ -117,31 +117,33 @@ def tx_ids_of(headers) -> set[int]:
 def ledger_at_head(sim, node) -> tuple[set[int], set[int]]:
     """``node``'s pending and canonical tx ids as of its head and now, read-only.
 
-    A node's mempool follows it lazily in two ways. New ids from the
-    mempool's ``frontier`` up to ``sim.txs_generated`` are created but not
-    yet added, and count as pending. And the mempool's sets are as of its
+    The canonical ids are those of the blocks on the chain to ``node.head``,
+    read off the store: the mempool keeps no record of them. A node's
+    mempool follows it lazily in two ways. New ids from the mempool's
+    ``frontier`` up to ``sim.txs_generated`` are created but not yet
+    added, and count as pending. And the mempool follows the chain to its
     pool head, the parent of the first header in ``node.lag``, or
     ``node.head`` when the lag is empty: the headers in ``node.lag`` are
-    adopted but not yet applied, so their ids count as canonical and not
-    pending. Catching the mempool up here would hide a catch-up the
-    simulator missed, so this calls no method of the node or its mempool
-    that writes; it derives both sets from copies. It checks the raw state
-    on the way: the added ids all lie below the frontier, the canonical
-    set holds exactly the ids on the chain to the pool head, and
-    ``node.lag`` is the chain from the pool head to ``head``, read through
-    ``canonical_diff``, which abandons nothing.
+    adopted but not yet applied, so their ids do not count as pending.
+    Catching the mempool up here would hide a catch-up the simulator
+    missed, so this calls no method of the node or its mempool that
+    writes; it derives both sets from copies. It checks the raw state on
+    the way: the added ids all lie below the frontier, the pending set
+    holds no id on the chain to the pool head, and ``node.lag`` is the
+    chain from the pool head to ``head``, read through ``canonical_diff``,
+    which abandons nothing.
     """
     pool, where = node.mempool, f"node {node.index} at {sim.now} ms"
-    pending, canonical = set(pool.pending), set(pool.canonical)
+    pending = set(pool.pending)
     assert pool.frontier <= sim.txs_generated, where
     assert max(pending, default=-1) < pool.frontier, where
     pool_head = node.lag[0].parent if node.lag else node.head
-    assert canonical == tx_ids_of(node.store.canonical_chain(pool_head)), where
+    assert pending.isdisjoint(tx_ids_of(node.store.canonical_chain(pool_head))), where
     abandoned, lag = canonical_diff(node.store, pool_head, node.head)
     assert not abandoned, f"{where}: the pool head is not an ancestor of head"
     assert node.lag == lag, f"{where}: the lag list is not the chain from the pool head to head"
-    lag_ids = tx_ids_of(lag)
-    return (pending | set(range(pool.frontier, sim.txs_generated))) - lag_ids, canonical | lag_ids
+    canonical = tx_ids_of(node.store.canonical_chain(node.head))
+    return (pending | set(range(pool.frontier, sim.txs_generated))) - tx_ids_of(lag), canonical
 
 
 def in_flight(sim, node) -> set[int]:

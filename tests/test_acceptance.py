@@ -86,6 +86,10 @@ def test_criterion_3_countermeasure(fixed_run):
         s.canonical_blocks for s in report.per_sealer if s.index != 2
     ]
     assert all(62 <= blocks <= 82 for blocks in honest_counts)
+    # The attacker still packs with no delay, at the instant it adopts the
+    # previous leader's block and before the next tx batch, so its blocks
+    # are empty and the next leader packs their interval's txs.
+    assert attacker.canonical_txs == 0
     # every canonical attacker block sits in its own in-turn slot
     attacker_addr = attacker.address
     for row in report.block_log[1:]:

@@ -27,9 +27,6 @@ def apply_and_check(ranges, model, op):
     elif name == "remove":
         ranges.remove(*args)
         model.difference_update(range(*args))
-    elif name == "overlap":
-        start, stop = args
-        assert ranges.overlap(start, stop) == runs_of(sorted(model.intersection(range(start, stop))))
     else:
         (cap,) = args
         expected = sorted(model)[:cap]
@@ -47,7 +44,7 @@ def apply_and_check(ranges, model, op):
 # a negative length as no cap.
 starts = st.integers(0, 40) | st.tuples(st.just("bound"), st.integers(0, 20))
 ops = st.lists(
-    st.tuples(st.sampled_from(("add", "add", "remove", "overlap", "take")), starts, st.integers(-2, 6)),
+    st.tuples(st.sampled_from(("add", "add", "remove", "take")), starts, st.integers(-2, 6)),
     min_size=10,
     max_size=40,
 )
@@ -77,7 +74,7 @@ def test_id_ranges_match_a_set(ops):
     [
         [("add", 0, 10), ("add", 10, 20), ("remove", 5, 15), ("add", 0, 40), ("take", 3)],
         [("add", 5, 10), ("add", 20, 25), ("add", 0, 30), ("remove", 0, 30), ("take", None)],
-        [("add", 10, 20), ("add", 3, 3), ("remove", 12, 8), ("overlap", 0, 40), ("take", 0)],
+        [("add", 10, 20), ("add", 3, 3), ("remove", 12, 8), ("take", 0)],
         [("add", 0, 5), ("add", 10, 15), ("add", 5, 7), ("add", 8, 10), ("remove", 0, 16)],
         [("add", 0, 5), ("add", 10, 15), ("remove", 0, 5), ("remove", 12, 15), ("take", 9)],
     ],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cliquesim import BlockHeader, Mempool, make_genesis, tx_batch_schedule
 from cliquesim.workload import _union as union
 
-from conftest import runs_of
+from conftest import runs_of, tx_ids_of
 
 
 def blk(number, tx_runs, sealer=0):
@@ -115,15 +115,16 @@ def test_pack_skips_canonical():
     # a rejected own block hands back ids a peer's block has made canonical since
     pool = filled(5)
     packed = pool.pack_block()
-    pool.on_canonical_update([], [blk(1, [(0, 1), (3, 4)], sealer=2)])
-    pool.restore(packed)
+    peer = blk(1, [(0, 1), (3, 4)], sealer=2)
+    pool.on_canonical_update([], [peer])
+    pool.restore(packed, [peer])
     assert pool.pack_block() == ((1, 3), (4, 5))
 
 
 def test_restore_reinstates_packed_txs():
     pool = filled(3)
     packed = pool.pack_block()
-    pool.restore(packed)
+    pool.restore(packed, ())
     assert sorted(pool.pending) == [0, 1, 2]
 
 
@@ -145,7 +146,6 @@ def test_canonical_update_same_txs_both_sides():
     new = [genesis, blk(1, [(0, 2)], sealer=2)]
     pool.on_canonical_update(old, new)
     assert set(pool.pending) == set()
-    assert set(pool.canonical) == {0, 1}
 
 
 def test_canonical_update_abandoned_block_repends_txs():
@@ -176,15 +176,14 @@ def test_canonical_update_partial_overlap():
     new = [genesis, blk(1, [(2, 4)], sealer=2), blk(2, [(4, 5)], sealer=3)]
     pool.on_canonical_update(old, new)
     assert sorted(pool.pending) == [0, 1]
-    assert set(pool.canonical) == {2, 3, 4}
 
 
 # -- merged updates --------------------------------------------------------------
 #
 # ``on_canonical_update`` applies each branch as its blocks' runs in chain
 # order, unsorted, with runs that abut across blocks joined. These
-# properties compare it with a per-header model, and check that a restore
-# commutes with a later adoption, on random ledgers and branches.
+# properties compare it with a per-header model, and check what a restore
+# hands back, on random ledgers and branches.
 # The example counts come from the hypothesis profile that ``conftest`` loads.
 
 
@@ -192,11 +191,9 @@ def per_header_update(pool, abandoned, adopted):
     """Reference: apply every run of every block, one at a time and in order."""
     for header in abandoned:
         for start, stop in header.tx_runs:
-            pool.canonical.remove(start, stop)
             pool.pending.add(start, stop)
     for header in adopted:
         for start, stop in header.tx_runs:
-            pool.canonical.add(start, stop)
             pool.pending.remove(start, stop)
 
 
@@ -209,12 +206,10 @@ ledgers = st.tuples(id_ranges, id_ranges)
 def make_ledger(ledger):
     pending, canonical = ledger
     pool = Mempool()
-    for start, length in canonical:
-        pool.canonical.add(start, start + length)
     for start, length in pending:
         pool.pending.add(start, start + length)
-    for start, stop in pool.canonical.runs():
-        pool.pending.remove(start, stop)
+    for start, length in canonical:
+        pool.pending.remove(start, start + length)
     return pool
 
 
@@ -261,7 +256,6 @@ def test_merged_canonical_update_matches_per_header_updates(ledger, abandoned, a
     merged.on_canonical_update(abandoned, adopted)
     per_header_update(reference, abandoned, adopted)
     assert merged.pending.runs() == reference.pending.runs()
-    assert merged.canonical.runs() == reference.canonical.runs()
 
 
 def test_a_one_block_branch_is_applied_as_its_own_runs():
@@ -273,27 +267,37 @@ def test_a_one_block_branch_is_applied_as_its_own_runs():
     assert union([blk(1, [(5, 8)]), blk(2, [(8, 9)]), blk(3, [(1, 3)])]) == [(5, 9), (1, 3)]
     pool = filled(10)
     pool.on_canonical_update((), [header])
-    assert pool.canonical.runs() == [(3, 5), (7, 9)]
     assert pool.pending.runs() == [(0, 3), (5, 7), (9, 10)]
 
 
-@given(ledgers, block_runs(), branches())
-def test_restore_commutes_with_a_later_adoption(ledger, restored, lag):
-    """A node restores a rejected own block's ids without first adopting the
-    blocks its head gained since its mempool last followed it."""
+@given(ledgers, block_runs(), branches(), branches())
+# Both parts of the chain's gain hold ids of the block.
+@example(([(0, 30)], []), [(4, 9), (12, 14)], [blk(1, [(0, 5)])], [blk(2, [(8, 13)])])
+def test_restore_drops_the_ids_the_chain_gained(ledger, restored, followed, lag):
+    """A rejected own block's ids go back to pending, except those on the
+    branch the chain gained since the block's parent: ``followed``, which
+    the mempool has adopted, then ``lag``, which it has not yet
+    (``Node.lag``). Restoring before the lag's adoption ends where
+    restoring after it does."""
     restore_first, adopt_first = make_ledger(ledger), make_ledger(ledger)
-    restore_first.restore(tuple(restored))
+    for pool in (restore_first, adopt_first):
+        for start, stop in restored:  # the pack took the block's ids out of pending
+            pool.pending.remove(start, stop)
+        pool.on_canonical_update((), followed)
+    block = {tx for start, stop in restored for tx in range(start, stop)}
+    expected = (set(restore_first.pending) | block) - tx_ids_of(followed + lag)
+    restore_first.restore(tuple(restored), followed + lag)
     restore_first.on_canonical_update((), lag)
     adopt_first.on_canonical_update((), lag)
-    adopt_first.restore(tuple(restored))
+    adopt_first.restore(tuple(restored), followed + lag)
+    assert set(restore_first.pending) == expected
     assert restore_first.pending.runs() == adopt_first.pending.runs()
-    assert restore_first.canonical.runs() == adopt_first.canonical.runs()
 
 
 # -- reference model ------------------------------------------------------------
 
 class ReferenceMempool:
-    """The dict-based mempool, tx id -> created_ms, FIFO by (created_ms, id), and its canonical set."""
+    """The dict-based mempool, tx id -> created_ms, FIFO by (created_ms, id), and its own canonical set."""
 
     def __init__(self):
         self.pending = {}
@@ -349,7 +353,9 @@ def test_mempool_matches_dict_reference_model(seed):
     simulation's count, and the pool adds the new ids in one
     ``catch_up`` just before a pack or canonical update, but not before
     a restore. After every step the pool's pending ids plus those from
-    its frontier up to ``generated`` must be the reference's pending ids.
+    its frontier up to ``generated`` must be the reference's pending ids
+    that are not canonical. The reference's canonical set is the oracle:
+    a restore tells the pool the ids that set gained since the pack.
     """
     rng = random.Random(seed)
     rate = rng.randrange(1, 12)
@@ -357,8 +363,8 @@ def test_mempool_matches_dict_reference_model(seed):
     pool, reference = Mempool(), ReferenceMempool()
     created: dict[int, int] = {}
     generated = 0
-    packed_blocks: list[tuple[int, ...]] = []
-    gapped = spanned = 0
+    packed_blocks: list[tuple[tuple[int, ...], set[int]]] = []  # ids, the canonical ids at the pack
+    gapped = spanned = overlapped = 0
 
     def catch_up():
         nonlocal spanned
@@ -382,18 +388,22 @@ def test_mempool_matches_dict_reference_model(seed):
             packed = reference.pack_block(cap)
             catch_up()
             assert pool.pack_block(cap) == tuple(runs_of(packed))
-            packed_blocks.append(packed)
+            packed_blocks.append((packed, set(reference.canonical)))
         elif op == "restore":
             if not packed_blocks:
                 continue
             # Restore one packed block, or two at once as one run list,
-            # which then usually has gaps.
-            restored = set()
+            # which then usually has gaps. The pool is told the ids that
+            # became canonical since each block was packed.
+            restored, gained = set(), set()
             for _ in range(min(len(packed_blocks), rng.choice((1, 2)))):
-                restored.update(packed_blocks.pop(rng.randrange(len(packed_blocks))))
+                packed, canonical_then = packed_blocks.pop(rng.randrange(len(packed_blocks)))
+                restored.update(packed)
+                gained |= reference.canonical - canonical_then
             runs = tuple(runs_of(sorted(restored)))
             gapped += len(runs) > 1
-            pool.restore(runs)
+            overlapped += not restored.isdisjoint(gained)
+            pool.restore(runs, [blk(1, runs_of(sorted(gained)))])
             reference.restore(restored, created)
         else:
             abandoned, adopted = random_branches(rng, ids)
@@ -404,6 +414,6 @@ def test_mempool_matches_dict_reference_model(seed):
         assert max(pending, default=-1) < pool.frontier
         assert pool.frontier <= generated
         assert pending | set(range(pool.frontier, generated)) == set(reference.pending) - reference.canonical
-        assert set(pool.canonical) == reference.canonical
     assert gapped, "no restore handed back more than one run"
+    assert overlapped, "no restore handed back an id that became canonical after its pack"
     assert spanned, "no catch-up added more than one batch"

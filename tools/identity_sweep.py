@@ -13,10 +13,13 @@ durations of 1 to 5 minutes.
 
 Each line holds the scenario's index, the SHA-256 of its report (or
 ``NonConvergenceError`` when the run ends in a deadlock), node 0's head
-hash, the number of events ever queued (``_next_seq``) and the events
-still queued at the end. Any other exception stops the sweep with an
-error. Two trees that simulate alike print the same lines, whatever the
-hash seed, so::
+hash, the number of events ever queued (``_next_seq``), the events
+still queued at the end, and the SHA-256 of every node's pending tx id
+runs, read once each node's mempool has caught up to the ids created and
+to its head (also after a deadlock), so a mempool fault shows before it
+reaches a block. Any other exception stops the sweep with an error. Two
+trees that simulate alike print the same lines, whatever the hash seed,
+so::
 
     for s in 0 1; do PYTHONHASHSEED=$s python3 tools/identity_sweep.py > sweep-$s.txt; done
     diff sweep-0.txt sweep-1.txt
@@ -91,7 +94,8 @@ def draw_scenario(rng: random.Random) -> str:
 
 
 def identity(text: str) -> str:
-    """Report digest (or ``NonConvergenceError``), node 0's head, events queued ever and at the end."""
+    """Report digest (or ``NonConvergenceError``), node 0's head, events queued ever and at the end,
+    and the digest of every node's pending ids."""
     from cliquesim.harness import assemble_report, build_simulation, parse_scenario
     from cliquesim.simnet import NonConvergenceError
 
@@ -102,7 +106,10 @@ def identity(text: str) -> str:
         outcome = hashlib.sha256(report.to_json().encode()).hexdigest()
     except NonConvergenceError:  # a deadlock is an outcome; any other error fails the sweep
         outcome = "NonConvergenceError"
-    return f"{outcome} {sim.nodes[0].head.hex()} {sim._next_seq} {len(sim._queue)}"
+    for node in sim.nodes:
+        node._sync_pool()
+    pending = hashlib.sha256(repr([node.mempool.pending.runs() for node in sim.nodes]).encode()).hexdigest()
+    return f"{outcome} {sim.nodes[0].head.hex()} {sim._next_seq} {len(sim._queue)} {pending}"
 
 
 def sweep(count: int) -> list[str]:
