@@ -11,12 +11,12 @@ from .chain import (
     ChainError,
     ChainStore,
     DuplicateBlockError,
+    GENESIS,
     GENESIS_ADDRESS,
     NIL_PARENT,
     UnknownBlockError,
     UnknownParentError,
     hash_header,
-    make_genesis,
 )
 from .charts import emit_chart
 from .engine import (
@@ -65,6 +65,7 @@ __all__ = [
     "DuplicateBlockError",
     "FIXED",
     "FRONTRUNNER",
+    "GENESIS",
     "GENESIS_ADDRESS",
     "HONEST",
     "Mempool",
@@ -92,7 +93,6 @@ __all__ = [
     "hash_header",
     "leader_index",
     "load_scenario",
-    "make_genesis",
     "parse_scenario",
     "plan_proposal",
     "preset_config",

@@ -1,12 +1,15 @@
 """Content-addressed block storage and heaviest-chain fork choice.
 
-Blocks form a tree rooted at a genesis header. The store keeps its tips in
-insertion order, so fork-choice ties resolve to the branch that was seen
-first, and cumulative difficulty is cached per block so head selection
-never re-walks the tree. The heaviest tip is kept up to date on every
-insert, and a head move walks only the two diverging branches, so the
-work per block does not grow with the chain. A header's digest, the hash
-the store keys it by, is computed once when the header is built.
+Blocks form a tree rooted at ``GENESIS``, the one genesis header. The
+store keeps its tips in insertion order, so fork-choice ties resolve to
+the branch that was seen first, and cumulative difficulty is cached per
+block so head selection never re-walks the tree. The heaviest tip is
+kept up to date on every insert, and a head move walks only the two
+diverging branches, so the work per block does not grow with the chain.
+``ChainStore.reorg`` is the one walk along parent links: a head move and
+the chain from genesis to a head (``canonical_chain``) are both read off
+it. A header's digest, the hash the store keys it by, is computed once
+when the header is built.
 """
 
 from __future__ import annotations
@@ -92,9 +95,6 @@ class BlockHeader:
     def __hash__(self) -> int:
         return hash(self.digest)
 
-    def is_genesis(self) -> bool:
-        return self.number == 0 and self.parent == NIL_PARENT
-
     @property
     def tx_ids(self) -> tuple[int, ...]:
         """The ids of ``tx_runs``, ascending, expanded on every read.
@@ -106,19 +106,16 @@ class BlockHeader:
         return tuple(itertools.chain.from_iterable(itertools.starmap(range, self.tx_runs)))
 
 
-def make_genesis() -> BlockHeader:
-    return BlockHeader(
-        number=0,
-        parent=NIL_PARENT,
-        sealer_index=0,
-        sealer_addr=GENESIS_ADDRESS,
-        difficulty=0,
-        sim_time_ms=0,
-    )
-
-
-# The one genesis header every store is rooted at; its digest is computed once.
-GENESIS = make_genesis()
+# The one genesis header: every store is rooted at it, and it is the only
+# header numbered 0 in any store. Its digest is computed once.
+GENESIS = BlockHeader(
+    number=0,
+    parent=NIL_PARENT,
+    sealer_index=0,
+    sealer_addr=GENESIS_ADDRESS,
+    difficulty=0,
+    sim_time_ms=0,
+)
 
 
 def hash_header(header: BlockHeader) -> bytes:
@@ -204,24 +201,20 @@ class ChainStore:
         return max(self._tips, key=self._td.__getitem__)
 
     def canonical_chain(self, head: bytes) -> list[BlockHeader]:
-        """Headers from genesis to ``head``, ascending by number."""
-        header = self.header(head)
-        chain = [header]
-        for _ in range(header.number):  # a header numbered n has n ancestors
-            header = self._headers[header.parent]
-            chain.append(header)
-        chain.reverse()
-        return chain
+        """Headers from genesis to ``head``, ascending by number: ``reorg`` from genesis."""
+        return [GENESIS, *self.reorg(self.genesis, head)[1]]
 
     def reorg(
         self, old_head: bytes, new_head: bytes
     ) -> tuple[list[BlockHeader], list[BlockHeader]]:
         """Headers that leave and join the canonical chain when the head moves.
 
-        Returns ``(abandoned, adopted)``: the parts of
-        ``canonical_chain(old_head)`` and ``canonical_chain(new_head)``
-        after their common ancestor, each ascending by number. The walk
-        covers only those two branches.
+        Returns ``(abandoned, adopted)``: the headers on the path from
+        ``old_head`` and from ``new_head`` back to their common ancestor,
+        that ancestor excluded, each ascending by number. Each step goes
+        back one parent link from whichever end is numbered higher, so the
+        walk covers only those two branches; from genesis, ``adopted`` is
+        the whole chain to ``new_head`` after genesis.
         """
         new = self.header(new_head)
         old = self.header(old_head)

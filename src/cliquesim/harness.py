@@ -308,7 +308,12 @@ class RunReport:
 
 
 def build_simulation(config: ScenarioConfig) -> Simulation:
-    """Construct a ready-to-run simulation: nodes, tx stream, plans."""
+    """``Simulation(config)``, which builds a ready-to-run simulation.
+
+    It stays only because ``perfbench/scenarios.py`` and
+    ``perfbench/fresh.py`` call it, until the change to the benchmark in
+    ROADMAP item 5.
+    """
     return Simulation(config)
 
 
@@ -357,8 +362,7 @@ def assemble_report(config: ScenarioConfig, result: SimResult) -> RunReport:
 
 def run_scenario(config: ScenarioConfig) -> RunReport:
     """Run one scenario end to end and report on the agreed canonical chain."""
-    sim = build_simulation(config)
-    result = sim.run_until(config.duration_ms)
+    result = Simulation(config).run_until(config.duration_ms)
     return assemble_report(config, result)
 
 

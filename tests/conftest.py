@@ -73,7 +73,7 @@ def path_difficulty(store: ChainStore, tip: bytes) -> int:
     """Independent oracle: walk parent pointers and sum difficulties."""
     total = 0
     header = store.header(tip)
-    while not header.is_genesis():
+    while header.number:  # only genesis is numbered 0 in a store
         total += header.difficulty
         header = store.header(header.parent)
     return total

@@ -7,13 +7,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cliquesim import (
+    GENESIS,
     BlockHeader,
     ChainStore,
     DuplicateBlockError,
     UnknownBlockError,
     UnknownParentError,
     hash_header,
-    make_genesis,
 )
 
 from conftest import brute_force_head, canonical_diff, child_header, children, grow, path_difficulty
@@ -22,7 +22,8 @@ from conftest import brute_force_head, canonical_diff, child_header, children, g
 # -- hashing -----------------------------------------------------------------
 
 def test_hash_is_deterministic():
-    assert hash_header(make_genesis()) == hash_header(make_genesis())
+    # ``replace`` builds a new header, so its digest is computed afresh.
+    assert hash_header(dataclasses.replace(GENESIS)) == hash_header(GENESIS)
 
 
 def test_hash_changes_with_difficulty(store):
@@ -247,7 +248,7 @@ def test_select_head_matches_brute_force_after_every_extend():
 
 def test_canonical_chain_of_genesis(store):
     chain = store.canonical_chain(store.genesis)
-    assert chain == [store.header(store.genesis)] and chain[0].is_genesis()
+    assert chain == [store.header(store.genesis)] and chain[0] is GENESIS
 
 
 def test_canonical_chain_linear(store):
@@ -280,7 +281,7 @@ def test_canonical_chain_after_reorg(store):
 
 
 def test_canonical_chain_unknown_head(store):
-    with pytest.raises(UnknownBlockError):
+    with pytest.raises(UnknownBlockError, match="33" * 32):
         store.canonical_chain(b"\x33" * 32)
 
 
@@ -330,7 +331,7 @@ def test_reorg_and_canonical_chain_match_parent_links_on_random_trees():
             assert store.reorg(old, new) == canonical_diff(store, old, new)
             # From genesis to ``new`` along parent links, so no side branch.
             chain = store.canonical_chain(new)
-            assert chain[0].is_genesis() and chain[-1] is store.header(new)
+            assert chain[0] is GENESIS and chain[-1] is store.header(new)
             assert all(child.parent == hash_header(parent) for parent, child in zip(chain, chain[1:]))
         # Every one-block extension in the tree, the shortest walk there is.
         for new in hashes[1:]:

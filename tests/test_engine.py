@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cliquesim import (
     FIXED,
+    GENESIS,
     BlockHeader,
     RejectReason,
     SealerPolicy,
@@ -13,7 +14,6 @@ from cliquesim import (
     VULNERABLE,
     VerifyFlags,
     leader_index,
-    make_genesis,
     plan_proposal,
     recents_window,
     signed_recently,
@@ -149,7 +149,7 @@ def test_wiggle_deterministic_per_seed():
 
 def snapshot_after(sealers, n):
     """Snapshot at the last block of a chain whose block k is sealed by ``sealers[k - 1]``."""
-    chain = [make_genesis()] + [
+    chain = [GENESIS] + [
         header_for(number, sealer, 1) for number, sealer in enumerate(sealers, start=1)
     ]
     return snapshot_for_chain(n, chain)
@@ -181,17 +181,17 @@ def test_signed_recently_empty_recents():
 def test_snapshot_for_chain_keeps_the_trailing_window():
     # N = 5: W = 3, and the next block (5) checks (2, 5), so of blocks
     # 1..4 only the last W - 1, 3 and 4, are kept
-    chain = [make_genesis()] + [header_for(n, n % 5, 1) for n in (1, 2, 3, 4)]
+    chain = [GENESIS] + [header_for(n, n % 5, 1) for n in (1, 2, 3, 4)]
     assert snapshot_for_chain(5, chain) == SealerSnapshot(5, frozenset({3, 4}))
     # N = 1: W = 1 keeps nothing; a lone sealer may always sign
     for last in (1, 2, 3):
         chain = [header_for(n, 0, 1) for n in range(1, last + 1)]
         assert snapshot_for_chain(1, chain).recent == frozenset()
     # chains shorter than W - 1 keep every block; genesis never enters
-    assert snapshot_for_chain(5, [make_genesis()]).recent == frozenset()
-    chain = [make_genesis(), header_for(1, 1, 1)]
+    assert snapshot_for_chain(5, [GENESIS]).recent == frozenset()
+    chain = [GENESIS, header_for(1, 1, 1)]
     assert snapshot_for_chain(5, chain).recent == {1}
-    chain = [make_genesis(), header_for(1, 1, 1), header_for(2, 4, 1)]
+    chain = [GENESIS, header_for(1, 1, 1), header_for(2, 4, 1)]
     assert snapshot_for_chain(9, chain).recent == {1, 4}
 
 
@@ -203,7 +203,7 @@ def test_signed_recently_matches_brute_force_scan():
     for _ in range(300):
         n = rng.randint(1, 21)
         history = [(number, rng.randrange(n)) for number in range(1, rng.randrange(12) + 1)]
-        chain = [make_genesis()] + [header_for(number, sealer, 1) for number, sealer in history]
+        chain = [GENESIS] + [header_for(number, sealer, 1) for number, sealer in history]
         for last in range(len(chain)):
             snap = snapshot_for_chain(n, chain[: last + 1])
             for probe in range(n):

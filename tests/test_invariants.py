@@ -33,6 +33,7 @@ import pytest
 
 import cliquesim.simnet
 from cliquesim import (
+    GENESIS,
     BlockHeader,
     ChainStore,
     Mempool,
@@ -41,7 +42,6 @@ from cliquesim import (
     VerifyFlags,
     build_simulation,
     hash_header,
-    make_genesis,
     parse_scenario,
     preset_config,
     preset_text,
@@ -133,7 +133,7 @@ def test_end_of_run_node_invariants(config):
 
 def test_snapshot_value_is_the_count_and_the_recent_signers():
     def chain_of(*sealers):
-        chain = [make_genesis()]
+        chain = [GENESIS]
         for number, sealer in enumerate(sealers, start=1):
             parent = hash_header(chain[-1])
             chain.append(BlockHeader(number, parent, sealer, f"0x{sealer:040x}", 1, number * 5000))
@@ -334,7 +334,7 @@ def test_verdict_reached_once_per_block_and_flag_set(monkeypatch, config, flag_s
     for node in sim.nodes:
         for h in iter_hashes(node.store):
             header = node.store.header(h)
-            if not header.is_genesis():
+            if header is not GENESIS:
                 chain = node.store.canonical_chain(header.parent)
                 assert verify(header, snapshot_for_chain(len(sim.sealers), chain), node.flags) is None
 

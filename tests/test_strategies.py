@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from cliquesim import (
     FIXED,
     FRONTRUNNER,
+    GENESIS,
     HONEST,
     BlockHeader,
     ProposalPlan,
     SealerPolicy,
     SealerSnapshot,
     VULNERABLE,
-    make_genesis,
     plan_proposal,
     preset_config,
     snapshot_for_chain,
@@ -248,7 +248,7 @@ def seeded_loop_cases():
 def check_plan(policy, case):
     n, signers, parent_time, now, sealer, seed = case
     history = list(enumerate(signers, start=1))
-    chain = [make_genesis()] + [
+    chain = [GENESIS] + [
         BlockHeader(
             number=number,
             parent=b"\x00" * 32,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cliquesim import BlockHeader, Mempool, make_genesis, tx_batch_schedule
+from cliquesim import GENESIS, BlockHeader, Mempool, tx_batch_schedule
 from cliquesim.workload import _union as union
 
 from conftest import runs_of, tx_ids_of
@@ -132,18 +132,16 @@ def test_restore_reinstates_packed_txs():
 
 def test_canonical_update_no_reorg():
     pool = filled(2, start=100)
-    genesis = make_genesis()
-    old = [genesis, blk(1, [(0, 2)])]
-    new = [genesis, blk(1, [(0, 2)]), blk(2, [(2, 3)])]
+    old = [GENESIS, blk(1, [(0, 2)])]
+    new = [GENESIS, blk(1, [(0, 2)]), blk(2, [(2, 3)])]
     pool.on_canonical_update(old, new)
     assert sorted(pool.pending) == [100, 101]
 
 
 def test_canonical_update_same_txs_both_sides():
     pool = Mempool()
-    genesis = make_genesis()
-    old = [genesis, blk(1, [(0, 2)], sealer=1)]
-    new = [genesis, blk(1, [(0, 2)], sealer=2)]
+    old = [GENESIS, blk(1, [(0, 2)], sealer=1)]
+    new = [GENESIS, blk(1, [(0, 2)], sealer=2)]
     pool.on_canonical_update(old, new)
     assert set(pool.pending) == set()
 
@@ -154,26 +152,23 @@ def test_canonical_update_abandoned_block_repends_txs():
     adopted_txs = set()
     expected = abandoned_txs - adopted_txs
     pool = Mempool()
-    genesis = make_genesis()
     pool.on_canonical_update(
-        [genesis, blk(1, runs_of(sorted(abandoned_txs)))],
-        [genesis, blk(1, runs_of(sorted(adopted_txs)), sealer=2)],
+        [GENESIS, blk(1, runs_of(sorted(abandoned_txs)))],
+        [GENESIS, blk(1, runs_of(sorted(adopted_txs)), sealer=2)],
     )
     assert set(pool.pending) == expected
 
 
 def test_canonical_update_drops_newly_adopted_from_pending():
     pool = filled(4)
-    genesis = make_genesis()
-    pool.on_canonical_update([genesis], [genesis, blk(1, [(1, 3)])])
+    pool.on_canonical_update([GENESIS], [GENESIS, blk(1, [(1, 3)])])
     assert sorted(pool.pending) == [0, 3]
 
 
 def test_canonical_update_partial_overlap():
     pool = Mempool()
-    genesis = make_genesis()
-    old = [genesis, blk(1, [(0, 3)])]
-    new = [genesis, blk(1, [(2, 4)], sealer=2), blk(2, [(4, 5)], sealer=3)]
+    old = [GENESIS, blk(1, [(0, 3)])]
+    new = [GENESIS, blk(1, [(2, 4)], sealer=2), blk(2, [(4, 5)], sealer=3)]
     pool.on_canonical_update(old, new)
     assert sorted(pool.pending) == [0, 1]
 

@@ -9,7 +9,11 @@ depends only on its index. The draws cover N from 1 to 9 plus 21, link
 delay bounds from 0 up to 4 s, all eight verifier flag sets plus
 per-sealer verifier overrides, zero to two frontrunners with partial
 deviations, ``tx_cap`` of none, 0 or a small number, tx rates and
-durations of 1 to 5 minutes.
+durations of 1 to 5 minutes. Every fourth scenario (``k % 4 == 3``) is
+instead hardened, with one or two full frontrunners, links about as slow
+as the block interval or slower and a ``tx_cap`` of 1 to 5: there a
+rejected own block often hands back ids the chain already holds, the
+case ``Mempool.restore`` must get right.
 
 Each line holds the scenario's index, the SHA-256 of its report (or
 ``NonConvergenceError`` when the run ends in a deadlock), node 0's head
@@ -43,7 +47,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (*range(1, 10), 21)
-VERIFY_PRESETS = ("fixed", "vulnerable")
 
 
 def draw_scenario(rng: random.Random) -> str:
@@ -55,7 +58,7 @@ def draw_scenario(rng: random.Random) -> str:
     """
     from dataclasses import fields
 
-    from cliquesim.engine import VerifyFlags
+    from cliquesim.engine import PRESETS, VerifyFlags
     from cliquesim.strategies import SealerPolicy
 
     flag_keys = [f.name for f in fields(VerifyFlags)]
@@ -87,20 +90,51 @@ def draw_scenario(rng: random.Random) -> str:
                 if rng.random() < 0.5:
                     section.append(f"{key} = {str(rng.random() < 0.5).lower()}")
         if rng.random() < 0.2:
-            section.append(f"verify = {rng.choice(VERIFY_PRESETS)}")
+            section.append(f"verify = {rng.choice(tuple(PRESETS))}")
         if section:
             lines += ["", f"[sealer {index}]", *section]
     return "\n".join(lines) + "\n"
 
 
+def draw_slow_links(rng: random.Random) -> str:
+    """A hardened scenario drawn from ``rng`` whose own blocks are often rejected late.
+
+    One or two full frontrunners in a committee of 3 to 9 under ``verify =
+    fixed``, links of up to 4 to 8 s (about the 5 s block interval or more)
+    and a ``tx_cap`` of 1 to 5. A frontrunner's rejected block then often
+    comes back after the chain has gained blocks holding some of its ids,
+    which the restore must keep out of pending.
+    """
+    n = rng.randint(3, 9)
+    lines = [
+        f"n_sealers = {n}",
+        f"duration_ms = {rng.randint(1, 5) * 60_000}",
+        f"seed = {rng.randrange(1 << 16)}",
+        f"delay_min_ms = {rng.randint(0, 100)}",
+        f"delay_max_ms = {rng.randint(4000, 8000)}",
+        f"tx_rate_per_s = {rng.choice((1, 10, 200))}",
+        "verify = fixed",
+        f"tx_cap = {rng.randint(1, 5)}",
+    ]
+    for index in sorted(rng.sample(range(n), rng.choice((1, 2)))):
+        lines += ["", f"[sealer {index}]", "policy = malicious"]
+    return "\n".join(lines) + "\n"
+
+
+def scenario_text(k: int) -> str:
+    """Scenario ``k``: every fourth one is drawn by ``draw_slow_links``."""
+    draw = draw_slow_links if k % 4 == 3 else draw_scenario
+    return draw(random.Random(k))
+
+
 def identity(text: str) -> str:
     """Report digest (or ``NonConvergenceError``), node 0's head, events queued ever and at the end,
     and the digest of every node's pending ids."""
-    from cliquesim.harness import assemble_report, build_simulation, parse_scenario
-    from cliquesim.simnet import NonConvergenceError
+    from cliquesim.harness import assemble_report, parse_scenario
+    from cliquesim.simnet import NonConvergenceError, Simulation
 
     config = parse_scenario(text)
-    sim = build_simulation(config)
+    sim = Simulation(config)
     try:
         report = assemble_report(config, sim.run_until(config.duration_ms))
         outcome = hashlib.sha256(report.to_json().encode()).hexdigest()
@@ -113,7 +147,7 @@ def identity(text: str) -> str:
 
 
 def sweep(count: int) -> list[str]:
-    return [f"{k} {identity(draw_scenario(random.Random(k)))}" for k in range(count)]
+    return [f"{k} {identity(scenario_text(k))}" for k in range(count)]
 
 
 def sweep_at(rev: str, count: int) -> list[str]:
