@@ -130,11 +130,16 @@ def _parse_bool(value: str, line: int) -> bool:
     raise ParseError(f"expected a boolean, got {value!r}", line)
 
 
-def _parse_int(value: str, line: int) -> int:
+def _parse_int(value: str, line: int, expected: str = "an integer") -> int:
     try:
         return int(value)
     except ValueError:
-        raise ParseError(f"expected an integer, got {value!r}", line) from None
+        raise ParseError(f"expected {expected}, got {value!r}", line) from None
+
+
+def _parse_optional_int(value: str, line: int) -> int | None:
+    """An integer, or ``none`` in any case for no value (honest difficulty, no tx cap)."""
+    return None if value.lower() == "none" else _parse_int(value, line, "an integer or none")
 
 
 def _parse_choice(what: str, allowed: tuple[str, ...], value: str, line: int) -> str:
@@ -144,7 +149,7 @@ def _parse_choice(what: str, allowed: tuple[str, ...], value: str, line: int) ->
 
 
 # Value parser per field annotation, for the fields a scenario file sets directly.
-_PARSERS = {"int": _parse_int, "int | None": _parse_int, "bool": _parse_bool}
+_PARSERS = {"int": _parse_int, "int | None": _parse_optional_int, "bool": _parse_bool}
 
 # Key -> value parser, per section kind.
 _GLOBAL_KEYS = {

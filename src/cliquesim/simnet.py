@@ -119,10 +119,10 @@ class Node:
     the mempool adopts the whole list only when it is next read or moved
     (a pack or any other head move). Adopting a run of extensions one by
     one or all at once leaves the same pending set, so the delay changes
-    nothing. The restore of a rejected own block does not catch up first:
-    it drops the ids the chain gained since the block's parent, read off
-    the store (``Mempool.restore``), so the mempool's pending set holds no
-    id on the chain it follows.
+    nothing. A rejected own block hands its ids back without a catch-up,
+    as one ``Mempool.on_canonical_update`` that abandons the block and
+    adopts the chain's gain since its parent, read off the store, so the
+    mempool's pending set holds no id on the chain it follows.
     """
 
     def __init__(
@@ -157,7 +157,10 @@ class Node:
         """Entry point for every block arrival, network or self.
 
         Every call counts as an arrival; a block this node has seen before
-        is counted as a duplicate and dropped.
+        is counted as a duplicate and dropped. A block claimed for a later
+        time waits in the event queue as an ``_admit`` entry due then. Only
+        an arrival can be ahead of the clock: a release runs at its claim
+        time, and an orphan was held after its claim.
         """
         block_hash = header.digest
         self.arrivals += 1
@@ -165,27 +168,26 @@ class Node:
             self.duplicates += 1
             return
         self.seen.add(block_hash)
-        self._admit(header)
+        if header.sim_time_ms > self.sim.now:
+            self.sim.schedule(header.sim_time_ms, DELIVERY, self._admit, header)
+        else:
+            self._admit(header)
 
     def _admit(self, header: BlockHeader) -> None:
-        """Import ``header``, or hold it until its parent or its claimed time.
+        """Import ``header``, whose claimed time has come, or hold it until its parent.
 
-        A block claimed for a later time waits in the event queue as an
-        ``_admit`` entry due at that time; a block whose parent is missing
-        waits in ``orphans`` and is admitted right after the parent. The
-        verdict comes from the run's memo for this node's flags
-        (``Simulation.verdicts``), so of all the nodes with the same flags
-        only the first to import a block runs ``verify_header`` on it. The
-        memo holds the reason's name, the key a rejection is tallied under.
+        A block whose parent is missing waits in ``orphans`` and is
+        admitted right after the parent. The verdict comes from the run's
+        memo for this node's flags (``Simulation.verdicts``), so of all the
+        nodes with the same flags only the first to import a block runs
+        ``verify_header`` on it. The memo holds the reason's name, the key a
+        rejection is tallied under.
 
         The first verdict that accepts a block builds its entry in the run's
         snapshot memo (``Simulation.snapshots``) from the parent's entry and
         the header, so every stored block has one. A one-block extension of
         the head joins ``lag``; the mempool follows any other head move at once.
         """
-        if header.sim_time_ms > self.sim.now:
-            self.sim.schedule(header.sim_time_ms, DELIVERY, self._admit, header)
-            return
         on_head = header.parent == self.head
         if not on_head and header.parent not in self.store:
             self.orphans.setdefault(header.parent, []).append(header)
@@ -204,7 +206,8 @@ class Node:
         if reason is not None:
             self.rejections[header.sealer_index, reason] += 1
             if header.sealer_index == self.index:
-                self.mempool.restore(header.tx_runs, self.store.reorg(header.parent, self.head)[1])
+                gained = self.store.reorg(header.parent, self.head)[1]
+                self.mempool.on_canonical_update((header,), gained)
             return
         store = self.store
         store.extend(header)

@@ -121,11 +121,11 @@ class Mempool:
 
     New ids arrive lazily: ids below ``frontier`` have been added, and
     ``catch_up`` adds the rest of those created so far in one range. The
-    owner catches up just before every pack and canonical update, so each
-    of them sees the same set as if every batch had been added when it
-    was created. A restore needs no catch-up: it hands back ids of an own
-    pack, all below the frontier, so it and a later catch-up touch
-    disjoint ids.
+    owner catches up just before every pack and every update for a head
+    move, so each of them sees the same set as if every batch had been
+    added when it was created. The update that hands back the ids of a
+    rejected own block needs no catch-up: they were packed, so they lie
+    below the frontier, and no later catch-up adds them a second time.
     """
 
     pending: IdRanges = field(default_factory=IdRanges)
@@ -144,28 +144,10 @@ class Mempool:
     def pack_block(self, cap: int | None = None) -> tuple[tuple[int, int], ...]:
         """Pop the oldest pending txs, at most ``cap`` of them, as a block's ``tx_runs``.
 
-        The packed ids leave the pending set; the caller restores them if
-        the seal never takes effect.
+        The packed ids leave the pending set; if the seal never takes
+        effect, the caller hands them back with ``on_canonical_update``.
         """
         return self.pending.take(cap)
-
-    def restore(self, tx_runs: tuple[tuple[int, int], ...], adopted: Sequence[BlockHeader]) -> None:
-        """Return the id runs of an own block that never took effect, except ids of ``adopted``.
-
-        ``adopted`` is the branch the chain gained since the block's parent
-        (``ChainStore.reorg`` from that parent to the head). The owner packs
-        only once its mempool follows the plan's parent, so none of the
-        block's ids was on the chain there, and those on it now are exactly
-        the ones ``adopted`` holds. ``adopted`` may end in blocks of the
-        owner's ``lag``, which the mempool has not followed yet, and only
-        those can hold ids at or past ``frontier``. Dropping their ids early
-        is harmless: the owner's next catch-up and lag adoption drop them again.
-        """
-        pending = self.pending
-        for start, stop in tx_runs:
-            pending.add(start, stop)
-        for start, stop in _union(adopted):
-            pending.remove(start, stop)
 
     def on_canonical_update(
         self, abandoned: Sequence[BlockHeader], adopted: Sequence[BlockHeader]
@@ -179,6 +161,15 @@ class Mempool:
         in any order and overlap: a run of blocks that pack consecutive ids
         costs one op, not one per block. An empty abandoned branch, as in
         every catch-up to the head, costs nothing.
+
+        A rejected own block comes back as the one abandoned block, with
+        ``adopted`` the chain's gain since its parent (``ChainStore.reorg``
+        from the parent to the head). The owner packs only once its mempool
+        follows the plan's parent, so of the block's ids exactly those in
+        ``adopted`` are on the chain now. ``adopted`` may end in ``lag``
+        blocks, which the mempool has not followed yet and which alone can
+        hold ids at or past ``frontier``; dropping those early is harmless,
+        as the next catch-up and lag adoption drop them again.
         """
         pending = self.pending
         for start, stop in _union(abandoned):

@@ -7,6 +7,7 @@ per criterion; the prints give the measured numbers alongside.
 import dataclasses
 import random
 import time
+from math import ceil
 
 import pytest
 
@@ -18,7 +19,9 @@ from cliquesim import (
     SealerSnapshot,
     VULNERABLE,
     build_simulation,
+    parse_scenario,
     preset_config,
+    preset_text,
     recents_window,
     run_scenario,
     run_sweep,
@@ -105,6 +108,47 @@ def test_criterion_3_countermeasure(fixed_run):
         f"PASS criterion 3: attacker share={share:.3f}, honest={honest_counts}, "
         f"{wrong_turn} wrong-turn rejections for {out_of_turn_attempts} out-of-turn attempts"
     )
+
+
+UNFORGED_FRONTRUNNER = """\
+n_sealers = {n_sealers}
+duration_ms = 600000
+seed = {seed}
+verify = fixed
+
+[sealer 1]
+policy = malicious
+forced_difficulty = none
+"""
+
+
+@pytest.mark.parametrize("n_sealers", [3, 4, 5, 7, 9, 21])
+def test_criterion_3_unforged_frontrunner_seals_once_per_window(n_sealers):
+    """``fixed`` stops the forged difficulty, not the zero delay.
+
+    A frontrunner that claims the rotation's own difficulty passes every
+    check. It signs as soon as the recents window lets it, and every peer
+    releases its block at its claim time, the instant the round leader's
+    timer fires. ``simnet`` runs a delivery before a seal timer due at
+    the same ms, so the leader imports the block and drops its own plan.
+    The attacker thus seals exactly one of every W = floor(N/2) + 1
+    canonical blocks: ceil(H/W) of H.
+    """
+    window = recents_window(n_sealers)
+    for seed in range(3):
+        report = run_scenario(parse_scenario(UNFORGED_FRONTRUNNER.format(n_sealers=n_sealers, seed=seed)))
+        height = report.totals["canonical_height"]
+        assert report.per_sealer[1].canonical_blocks == ceil(height / window), f"seed {seed}"
+    print(f"PASS criterion 3b: N = {n_sealers}, the unforged frontrunner seals ceil(H/{window}) blocks on seeds 0-2")
+
+
+def test_criterion_3_unforged_frontrunner_in_the_fixed_preset():
+    text = preset_text("fixed").replace("forced_difficulty = 2", "forced_difficulty = none")
+    report = run_scenario(parse_scenario(text))
+    attacker = report.per_sealer[2]
+    assert (attacker.canonical_blocks, report.totals["canonical_height"]) == (120, 360)
+    assert round(report.sealer_share(2), 4) == 0.3333
+    print("PASS criterion 3c: in the fixed preset the unforged frontrunner keeps 120 of 360 blocks")
 
 
 def test_criterion_4_block_log_signatures(honest_run, attack_run):

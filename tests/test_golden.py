@@ -34,6 +34,10 @@ with sealer 1 claiming difficulty 2 out of turn while keeping the honest
 wiggle and recents window; node 3 rejects 10 of its blocks, so the pin
 covers blocks that the two flag sets judge apart. It was produced before
 a node's mempool came to adopt its lag in chain order without a sort.
+``unforged-frontrunner-fixed`` is the ``fixed`` preset with sealer 2
+claiming the rotation's difficulty (``forced_difficulty = none``); it
+keeps 120 of 360 blocks. Its pins were made before the value could be
+written in a scenario file, from the same config built in code.
 
 The block log and the report count each block's txs but do not list
 them. ``golden/heads.json`` therefore pins node 0's final head hash, which

@@ -172,8 +172,9 @@ def test_duplicates_name_the_line(text, line):
         ("n_sealers = 5\n[sealer 2]\nverify = fixed\nzero_delay = false\n", 4),
         ("n_sealers = 5\n[sealer 2]\nbypass_recents = true\npolicy = honest\n", 3),
         ("n_sealers = 5\n[sealer 2]\npolicy = honest\nverify = fixed\nbypass_recents = true\n", 5),
+        ("n_sealers = 5\n[sealer 2]\nforced_difficulty = none\n", 3),
     ],
-    ids=["missing-policy", "missing-policy-after-verify", "honest-after", "explicit-honest"],
+    ids=["missing-policy", "missing-policy-after-verify", "honest-after", "explicit-honest", "none-value"],
 )
 def test_deviation_key_outside_malicious_section_names_the_line(text, line):
     with pytest.raises(ParseError) as err:
@@ -211,6 +212,13 @@ def test_deviation_key_outside_malicious_section_names_the_line(text, line):
             "line 3: unknown policy 'evil'",
         ),
         ("n_sealers = five\n", ParseError, "line 1: expected an integer, got 'five'"),
+        ("n_sealers = none\n", ParseError, "line 1: expected an integer, got 'none'"),
+        ("n_sealers = 5\ntx_cap = nil\n", ParseError, "line 2: expected an integer or none, got 'nil'"),
+        (
+            "n_sealers = 5\n[sealer 2]\npolicy = malicious\nforced_difficulty = nil\n",
+            ParseError,
+            "line 4: expected an integer or none, got 'nil'",
+        ),
         (
             "n_sealers = 5\n[sealer 1]\nzero_delay = maybe\n",
             ParseError,
@@ -239,6 +247,9 @@ def test_deviation_key_outside_malicious_section_names_the_line(text, line):
         "unknown-section-verify-preset",
         "unknown-policy",
         "bad-int",
+        "none-for-a-required-int",
+        "bad-optional-int",
+        "bad-forced-difficulty",
         "bad-bool",
         "deviation-outside-malicious",
         "missing-n-sealers",
@@ -259,6 +270,19 @@ def test_malicious_section_takes_missing_deviations_from_the_full_attacker():
     )
     assert config.sealer_specs[1].policy == SealerPolicy.malicious()
     assert config.sealer_specs[2].policy == SealerPolicy(9, False, True)
+
+
+@pytest.mark.parametrize("none", ["none", "None", "NONE"])
+def test_none_leaves_an_optional_integer_unset(none):
+    """``none`` gives an ``int | None`` key no value: the rotation's
+    difficulty for ``forced_difficulty``, no cap for ``tx_cap``."""
+    config = parse_scenario(
+        f"n_sealers = 5\ntx_cap = {none}\n[sealer 2]\npolicy = malicious\nforced_difficulty = {none}\n"
+    )
+    assert config.tx_cap is None
+    assert config.sealer_specs[2].policy == SealerPolicy(None, True, True)
+    assert config.to_dict()["sealers"]["2"]["forced_difficulty"] is None
+    assert config == parse_scenario("n_sealers = 5\n[sealer 2]\npolicy = malicious\nforced_difficulty = none\n")
 
 
 @pytest.mark.parametrize("name", ["honest", "attack", "fixed"])

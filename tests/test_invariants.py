@@ -352,13 +352,15 @@ def test_mempool_follows_the_head_only_when_used(monkeypatch, config):
 
     The mempool catches up to the head only to pack a block or before any
     other head move, which then updates it once more to follow the move.
-    The restore of a rejected own block does not catch up: it reads what
-    the chain gained since the block's parent off the store. So per node
-    the updates are at most the packs plus two per head move that is not
-    a one-block extension. The moves are read off the heads each node
-    plans from (``replan`` runs after every head move), not off the
-    simulator's own choice of path. The slow-link scenarios reorganise at
-    every node several times a minute.
+    A rejected own block hands its ids back in one more update, with no
+    catch-up: it reads what the chain gained since the block's parent off
+    the store. So per node the updates are at most the packs, plus two per
+    head move that is not a one-block extension, plus one per own block
+    the node rejected (read off ``node.rejections`` at its own index). The
+    moves are read off the heads each node plans from (``replan`` runs
+    after every head move), not off the simulator's own choice of path.
+    The slow-link scenarios reorganise at every node several times a
+    minute.
     """
     calls: Counter[tuple[int, str]] = Counter()  # (id of node or mempool, method) -> calls
     planned_from: dict[int, bytes] = {}  # id of node -> head of its last plan
@@ -391,7 +393,8 @@ def test_mempool_follows_the_head_only_when_used(monkeypatch, config):
     for node in sim.nodes:
         pool = id(node.mempool)
         updates = calls[pool, "on_canonical_update"]
-        bound = calls[pool, "pack_block"] + 2 * other_moves[id(node)]
+        own_rejected = sum(n for (sealer, _), n in node.rejections.items() if sealer == node.index)
+        bound = calls[pool, "pack_block"] + 2 * other_moves[id(node)] + own_rejected
         assert updates <= bound, f"node {node.index}: {updates} mempool updates, bound {bound}"
 
 
@@ -400,27 +403,36 @@ def test_a_restore_keeps_out_the_ids_the_chain_gained(monkeypatch):
 
     With a cap of 3 txs per block and links of up to 4 s, the two
     frontrunners' blocks are often rejected at their own nodes after a
-    peer's block with the same oldest ids has been adopted. Which of the
-    block's ids are canonical is read off the store, not off what the
-    simulator passes to ``Mempool.restore``. Right after every restore the
-    node's ids must still be conserved (``ledger_at_head``): the ids the
-    chain holds are not handed back to pending.
+    peer's block with the same oldest ids has been adopted. Such a block
+    comes back as the one abandoned block of a ``Mempool.on_canonical_update``
+    (it is in no store). Which of its ids are canonical is read off the
+    store, not off what the simulator passes in. Right after every update,
+    a hand-back or a head move, the node's ids must be conserved against
+    the chain the mempool now follows: the last adopted block, or the
+    head when nothing was adopted. The ids that chain holds are not
+    pending, and every id created is pending, on it, in an own block
+    still held at the node, or not yet added.
     """
     sim = None
     overlapping = 0
-    restore = Mempool.restore
+    update = Mempool.on_canonical_update
 
-    def checked(pool, tx_runs, adopted):
+    def checked(pool, abandoned, adopted):
         nonlocal overlapping
         (node,) = (node for node in sim.nodes if node.mempool is pool)
-        block = {tx for start, stop in tx_runs for tx in range(start, stop)}
-        overlapping += not block.isdisjoint(tx_ids_of(node.store.canonical_chain(node.head)))
-        restore(pool, tx_runs, adopted)
-        pending, canonical = ledger_at_head(sim, node)
-        assert pending.isdisjoint(canonical), f"node {node.index} at {sim.now} ms"
-        assert pending | canonical | in_flight(sim, node) == set(range(sim.txs_generated))
+        if abandoned and abandoned[0].digest not in node.store:  # a rejected own block
+            assert len(abandoned) == 1 and abandoned[0].sealer_index == node.index
+            on_chain = tx_ids_of(node.store.canonical_chain(node.head))
+            overlapping += not tx_ids_of(abandoned).isdisjoint(on_chain)
+        update(pool, abandoned, adopted)
+        followed = adopted[-1].digest if adopted else node.head
+        where = f"node {node.index} at {sim.now} ms"
+        pending, canonical = set(pool.pending), tx_ids_of(node.store.canonical_chain(followed))
+        assert pending.isdisjoint(canonical), where
+        unadded = set(range(pool.frontier, sim.txs_generated))
+        assert pending | canonical | in_flight(sim, node) | unadded == set(range(sim.txs_generated)), where
 
-    monkeypatch.setattr(Mempool, "restore", checked)
+    monkeypatch.setattr(Mempool, "on_canonical_update", checked)
     config = parse_scenario(GOLDEN_SCENARIOS["slow-links-two-attackers-fixed-tx-cap"]["scenario"])
     sim = build_simulation(config)
     sim.run_until(config.duration_ms)
@@ -460,7 +472,6 @@ def test_tx_batches_touch_no_mempool(monkeypatch):
         (Node, "_sync_pool"),
         (Mempool, "add"),
         (Mempool, "pack_block"),
-        (Mempool, "restore"),
         (Mempool, "on_canonical_update"),
     ):
         monkeypatch.setattr(owner, name, counting(owner, name))

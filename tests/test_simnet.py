@@ -1,9 +1,13 @@
 import heapq
+import json
 import random
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cliquesim import (
     FIXED,
@@ -15,6 +19,7 @@ from cliquesim import (
     VULNERABLE,
     build_simulation,
     parse_scenario,
+    preset_config,
     run_scenario,
     ScenarioConfig,
     SealerSpec,
@@ -494,22 +499,68 @@ def test_zero_duration_reports_genesis_only():
     assert len(report.block_log) == 1
 
 
-@pytest.mark.parametrize("preset", ["honest", "attack", "fixed"])
-def test_node_counters_balance(preset):
-    sim = build_simulation(short_preset(preset, 120_000))
-    sim.run_until(120_000)
+GOLDEN_SCENARIOS = json.loads((Path(__file__).parent / "golden" / "scenarios.json").read_text())
+BALANCE_RUNS = {
+    **{name: preset_config(name) for name in ("honest", "attack", "fixed")},
+    **{f"scenario-{name}": parse_scenario(pin["scenario"]) for name, pin in GOLDEN_SCENARIOS.items()},
+}
+
+
+def assert_every_arrival_has_one_outcome(sim):
+    """Each arrival at a node is accepted, rejected, a duplicate, an orphan
+    still waiting for its parent or a block still held for its claim."""
     for node in sim.nodes:
         counts = node.counters()
-        assert counts["arrivals"] == (
-            counts["accepted"]
-            + counts["rejected"]
-            + counts["duplicates"]
-            + counts["orphans_pending"]
-            + counts["futures_pending"]
-        )
-        if preset == "attack":
-            # The attacker signs its next block at once, claimed past the drain.
-            assert counts["futures_pending"] >= 1
+        outcomes = ("accepted", "rejected", "duplicates", "orphans_pending", "futures_pending")
+        assert counts["arrivals"] == sum(counts[outcome] for outcome in outcomes), f"node {node.index}: {counts}"
+
+
+@pytest.mark.parametrize("name", sorted(BALANCE_RUNS))
+def test_node_counters_balance(name):
+    config = BALANCE_RUNS[name]
+    sim = build_simulation(config)
+    sim.run_until(config.duration_ms)
+    assert_every_arrival_has_one_outcome(sim)
+    if name == "attack":
+        # The attacker signs its next block at once, claimed past the drain.
+        assert all(node.counters()["futures_pending"] >= 1 for node in sim.nodes)
+
+
+@st.composite
+def balance_scenarios(draw):
+    """Scenario text: N = 1-9, zero-delay, fast or slow links, either verifier,
+    an optional ``tx_cap`` and up to two frontrunners with partial deviations."""
+    n_sealers = draw(st.integers(1, 9))
+    delay_min, delay_max = draw(st.sampled_from([(0, 0), (0, 50), (5, 50), (500, 2000), (1000, 5000)]))
+    lines = [
+        f"n_sealers = {n_sealers}",
+        f"duration_ms = {draw(st.integers(0, 180)) * 1000}",
+        f"seed = {draw(st.integers(0, 2**16))}",
+        f"delay_min_ms = {delay_min}",
+        f"delay_max_ms = {delay_max}",
+        f"verify = {draw(st.sampled_from(['fixed', 'vulnerable']))}",
+        f"tx_cap = {draw(st.sampled_from(['none', '0', '2', '40']))}",
+    ]
+    for index in sorted(draw(st.sets(st.integers(0, n_sealers - 1), max_size=2))):
+        lines += ["", f"[sealer {index}]", "policy = malicious"]
+        forced = draw(st.sampled_from([None, "none", "1", "2", "9"]))
+        if forced is not None:
+            lines.append(f"forced_difficulty = {forced}")
+        for key in ("zero_delay", "bypass_recents"):
+            if draw(st.booleans()):
+                lines.append(f"{key} = {draw(st.booleans())}")
+    return "\n".join(lines) + "\n"
+
+
+@given(balance_scenarios())
+def test_every_arrival_has_one_outcome_on_drawn_scenarios(text):
+    config = parse_scenario(text)
+    sim = build_simulation(config)
+    try:
+        sim.run_until(config.duration_ms)
+    except NonConvergenceError:  # a fork deadlock still leaves every tally in place
+        pass
+    assert_every_arrival_has_one_outcome(sim)
 
 
 @pytest.mark.parametrize("preset", ["honest", "attack", "fixed"])

@@ -114,17 +114,17 @@ def test_pack_rejects_a_negative_cap():
 def test_pack_skips_canonical():
     # a rejected own block hands back ids a peer's block has made canonical since
     pool = filled(5)
-    packed = pool.pack_block()
+    own = blk(1, pool.pack_block())
     peer = blk(1, [(0, 1), (3, 4)], sealer=2)
     pool.on_canonical_update([], [peer])
-    pool.restore(packed, [peer])
+    pool.on_canonical_update((own,), [peer])  # the own block abandoned, the peer's gain adopted
     assert pool.pack_block() == ((1, 3), (4, 5))
 
 
 def test_restore_reinstates_packed_txs():
     pool = filled(3)
-    packed = pool.pack_block()
-    pool.restore(packed, ())
+    own = blk(1, pool.pack_block())
+    pool.on_canonical_update((own,), ())
     assert sorted(pool.pending) == [0, 1, 2]
 
 
@@ -272,19 +272,20 @@ def test_restore_drops_the_ids_the_chain_gained(ledger, restored, followed, lag)
     """A rejected own block's ids go back to pending, except those on the
     branch the chain gained since the block's parent: ``followed``, which
     the mempool has adopted, then ``lag``, which it has not yet
-    (``Node.lag``). Restoring before the lag's adoption ends where
-    restoring after it does."""
+    (``Node.lag``). The block comes back as the one abandoned block of an
+    update that adopts that gain. Restoring before the lag's adoption
+    ends where restoring after it does."""
     restore_first, adopt_first = make_ledger(ledger), make_ledger(ledger)
     for pool in (restore_first, adopt_first):
         for start, stop in restored:  # the pack took the block's ids out of pending
             pool.pending.remove(start, stop)
         pool.on_canonical_update((), followed)
-    block = {tx for start, stop in restored for tx in range(start, stop)}
-    expected = (set(restore_first.pending) | block) - tx_ids_of(followed + lag)
-    restore_first.restore(tuple(restored), followed + lag)
+    own = blk(len(followed) + 1, restored, sealer=1)
+    expected = (set(restore_first.pending) | set(own.tx_ids)) - tx_ids_of(followed + lag)
+    restore_first.on_canonical_update((own,), followed + lag)
     restore_first.on_canonical_update((), lag)
     adopt_first.on_canonical_update((), lag)
-    adopt_first.restore(tuple(restored), followed + lag)
+    adopt_first.on_canonical_update((own,), followed + lag)
     assert set(restore_first.pending) == expected
     assert restore_first.pending.runs() == adopt_first.pending.runs()
 
@@ -346,8 +347,9 @@ def test_mempool_matches_dict_reference_model(seed):
 
     A batch only raises ``generated``, as a tx batch event raises the
     simulation's count, and the pool adds the new ids in one
-    ``catch_up`` just before a pack or canonical update, but not before
-    a restore. After every step the pool's pending ids plus those from
+    ``catch_up`` just before a pack or a head move, but not before a
+    restore, which hands packed ids back as an update that abandons one
+    block. After every step the pool's pending ids plus those from
     its frontier up to ``generated`` must be the reference's pending ids
     that are not canonical. The reference's canonical set is the oracle:
     a restore tells the pool the ids that set gained since the pack.
@@ -398,7 +400,7 @@ def test_mempool_matches_dict_reference_model(seed):
             runs = tuple(runs_of(sorted(restored)))
             gapped += len(runs) > 1
             overlapped += not restored.isdisjoint(gained)
-            pool.restore(runs, [blk(1, runs_of(sorted(gained)))])
+            pool.on_canonical_update((blk(1, runs),), [blk(1, runs_of(sorted(gained)))])
             reference.restore(restored, created)
         else:
             abandoned, adopted = random_branches(rng, ids)

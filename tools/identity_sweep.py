@@ -12,8 +12,8 @@ deviations, ``tx_cap`` of none, 0 or a small number, tx rates and
 durations of 1 to 5 minutes. Every fourth scenario (``k % 4 == 3``) is
 instead hardened, with one or two full frontrunners, links about as slow
 as the block interval or slower and a ``tx_cap`` of 1 to 5: there a
-rejected own block often hands back ids the chain already holds, the
-case ``Mempool.restore`` must get right.
+rejected own block often comes back with ids the chain already holds,
+which the mempool update that hands its ids back must keep out of pending.
 
 Each line holds the scenario's index, the SHA-256 of its report (or
 ``NonConvergenceError`` when the run ends in a deadlock), node 0's head
@@ -103,7 +103,7 @@ def draw_slow_links(rng: random.Random) -> str:
     fixed``, links of up to 4 to 8 s (about the 5 s block interval or more)
     and a ``tx_cap`` of 1 to 5. A frontrunner's rejected block then often
     comes back after the chain has gained blocks holding some of its ids,
-    which the restore must keep out of pending.
+    which the hand-back of its ids must keep out of pending.
     """
     n = rng.randint(3, 9)
     lines = [
